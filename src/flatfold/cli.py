@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the analysis ran (negative mathematical verdicts are
 results, not failures), 1 for usage/parse errors, 2 for internal invariant
-violations such as the oracle and the recursion disagreeing in ``selftest``.
+violations such as the oracle and the recursion disagreeing in ``selftest``,
+and for any unexpected exception, which is reported without a traceback.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ _NECESSARY_ONLY = (
 # --------------------------------------------------------------------------
 # parsing
 
+# Longest accepted angle token. Exponent notation is refused outright: a
+# short token such as 1e5000 stands for a number too long to report.
+_MAX_TOKEN_CHARS = 100
+
 
 def parse_angles(text: str) -> AngleSequence:
     """Comma/space-separated angles: integers, finite decimals, or p/q."""
@@ -51,6 +56,15 @@ def parse_angles(text: str) -> AngleSequence:
         raise ParseError("no angles given")
     angles = []
     for i, tok in enumerate(tokens):
+        if len(tok) > _MAX_TOKEN_CHARS:
+            raise ParseError(
+                "angle at position %d is longer than %d characters"
+                % (i + 1, _MAX_TOKEN_CHARS)
+            )
+        if "e" in tok.lower():
+            raise ParseError(
+                "exponent notation is not accepted: %r at position %d" % (tok, i + 1)
+            )
         try:
             value = Fraction(tok)
         except (ValueError, ZeroDivisionError):
@@ -139,8 +153,6 @@ def parse_pattern(path: str) -> CreasePattern:
     try:
         built = CreasePattern.build(points, creases, data["boundary"], assignment)
         return normalize_pattern(built)
-    except FlatFoldError:
-        raise
     except (IndexError, TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from None
 
@@ -280,35 +292,20 @@ def _count_block(v: AngleSequence) -> tuple[Optional[dict], Optional[str]]:
     )
 
 
-def cmd_analyze(args) -> int:
+def cmd_count(args) -> int:
+    """``count``, and ``analyze``, which adds degree parity, closure and bounds."""
     v = parse_angles(args.angles)
     started = time.perf_counter()
     even = len(v) % 2 == 0
-    report: dict[str, Any] = {
-        "command": "analyze",
-        "input": _input_block(v),
-        "degree_even": even,
-        "kawasaki": vxmod.kawasaki(v),
-        "bounds": None,
-        "count": None,
-        "reason": None,
-    }
+    report: dict[str, Any] = {"command": args.command, "input": _input_block(v)}
+    if args.command == "analyze":
+        report["degree_even"] = even
+        report["kawasaki"] = vxmod.kawasaki(v)
+        report["bounds"] = None
+        if even:
+            lo, hi = vxmod.bounds(v)
+            report["bounds"] = {"lower": lo, "upper": hi}
     if even:
-        lo, hi = vxmod.bounds(v)
-        report["bounds"] = {"lower": lo, "upper": hi}
-        report["count"], report["reason"] = _count_block(v)
-    else:
-        report["reason"] = "odd degree: flat-foldable vertices have even degree"
-    report["timing_s"] = round(time.perf_counter() - started, 6)
-    _render(report, args.format)
-    return 0
-
-
-def cmd_count(args) -> int:
-    v = parse_angles(args.angles)
-    started = time.perf_counter()
-    report: dict[str, Any] = {"command": "count", "input": _input_block(v)}
-    if len(v) % 2 == 0:
         report["count"], report["reason"] = _count_block(v)
     else:
         report["count"] = None
@@ -545,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="closure, parity, bounds, and count")
     p_analyze.add_argument("angles", help='sector angles, e.g. "90,90,90,90"')
     _add_format(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
+    p_analyze.set_defaults(func=cmd_count)
 
     p_count = sub.add_parser("count", help="count valid assignments")
     p_count.add_argument("angles")
@@ -598,12 +595,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, SchemaError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except FlatFoldError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug, but never a traceback: exit code 2
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

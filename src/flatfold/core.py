@@ -312,19 +312,7 @@ class CreasePattern:
         """Construct from raw coordinates, deriving the boundary flags."""
         pts = [(Fraction(x), Fraction(y)) for x, y in points]
         boundary = tuple(int(i) for i in boundary)
-        creases = tuple((int(i), int(j)) for i, j in creases)
-        if len(boundary) < 3:
-            raise StructuralError("the border needs at least three vertices")
-        for i in boundary:
-            if not 0 <= i < len(pts):
-                raise StructuralError("border vertex index %d out of range" % i)
-        bedges = [
-            (pts[boundary[i]], pts[boundary[(i + 1) % len(boundary)]])
-            for i in range(len(boundary))
-        ]
-        for a, b in bedges:
-            if a == b:
-                raise StructuralError("zero-length border edge")
+        bedges = _border_edges(pts, boundary)
         flags = [any(_on_segment(p, a, b) for a, b in bedges) for p in pts]
         vertices = tuple(Vertex(x, y, flag) for (x, y), flag in zip(pts, flags))
         if isinstance(assignment, str):
@@ -352,11 +340,22 @@ class CreasePattern:
         return [i for i, vert in enumerate(self.vertices) if not vert.on_boundary]
 
     def boundary_edges(self) -> list[tuple[Point, Point]]:
-        n = len(self.boundary)
-        return [
-            (self.point(self.boundary[i]), self.point(self.boundary[(i + 1) % n]))
-            for i in range(n)
-        ]
+        return _border_edges([v.point for v in self.vertices], self.boundary)
+
+
+def _border_edges(
+    pts: Sequence[Point], boundary: Sequence[int]
+) -> list[tuple[Point, Point]]:
+    """The border's edges as point pairs, in cycle order. Empty when a border
+    index is out of range, which `_validate_pattern` then reports."""
+    if not all(0 <= i < len(pts) for i in boundary):
+        return []
+    m = len(boundary)
+    return [(pts[boundary[i]], pts[boundary[(i + 1) % m]]) for i in range(m)]
+
+
+def _midpoint(a: Point, b: Point) -> Point:
+    return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
 
 
 def _validate_pattern(p: CreasePattern) -> None:
@@ -376,7 +375,7 @@ def _validate_pattern(p: CreasePattern) -> None:
     # border must be a simple polygon
     m = len(p.boundary)
     bpoly = [pts[i] for i in p.boundary]
-    bedges = [(bpoly[i], bpoly[(i + 1) % m]) for i in range(m)]
+    bedges = _border_edges(pts, p.boundary)
     for i in range(m):
         a, b = bedges[i]
         if a == b:
@@ -445,6 +444,12 @@ def _validate_pattern(p: CreasePattern) -> None:
                 raise PlanarityError("crease %d crosses the border" % ci)
             if _collinear_overlap(a, b, c, d):
                 raise PlanarityError("crease %d runs along the border" % ci)
+        # The checks above keep the open crease off the border, so a crease
+        # with an interior endpoint is inside. One running border to border
+        # may still cross a notch of non-convex paper; its midpoint decides.
+        border_to_border = p.vertices[i].on_boundary and p.vertices[j].on_boundary
+        if border_to_border and not _point_in_polygon(_midpoint(a, b), bpoly):
+            raise PlanarityError("crease %d lies outside the paper" % ci)
 
     # every interior vertex must carry at least one crease
     used = {i for crease in p.creases for i in crease}
@@ -467,30 +472,41 @@ def normalize_pattern(p: CreasePattern) -> CreasePattern:
     """Split every border-to-border crease at its midpoint.
 
     The new degree-2 interior vertex is tagged in ``split_vertices`` and both
-    halves inherit the original crease's label. Idempotent.
+    halves inherit the original crease's label. Idempotent: a pattern with no
+    border-to-border crease is returned as it is.
     """
-    points = [v.point for v in p.vertices]
+    on_border = [v.on_boundary for v in p.vertices]
+    if not any(on_border[i] and on_border[j] for i, j in p.creases):
+        return p
+    vertices = list(p.vertices)
     creases: list[tuple[int, int]] = []
     labels: list[MVLabel] = []
-    split = set(p.split_vertices)
     for ci, (i, j) in enumerate(p.creases):
-        label = p.assignment[ci] if p.assignment is not None else None
-        if p.vertices[i].on_boundary and p.vertices[j].on_boundary:
-            (x1, y1), (x2, y2) = points[i], points[j]
-            mid = ((x1 + x2) / 2, (y1 + y2) / 2)
-            mid_id = len(points)
-            points.append(mid)
-            split.add(mid_id)
-            creases.append((i, mid_id))
-            creases.append((mid_id, j))
-            if label is not None:
-                labels.extend((label, label))
-        else:
-            creases.append((i, j))
-            if label is not None:
-                labels.append(label)
-    assignment = MVAssignment(tuple(labels)) if p.assignment is not None else None
-    return CreasePattern.build(points, creases, p.boundary, assignment, split)
+        halves = [(i, j)]
+        if on_border[i] and on_border[j]:
+            mid_id = len(vertices)
+            vertices.append(Vertex(*_midpoint(p.point(i), p.point(j)), False))
+            halves = [(i, mid_id), (mid_id, j)]
+        creases.extend(halves)
+        if p.assignment is not None:
+            labels.extend([p.assignment[ci]] * len(halves))
+    return _assemble(
+        vertices=tuple(vertices),
+        creases=tuple(creases),
+        boundary=p.boundary,
+        assignment=MVAssignment(tuple(labels)) if p.assignment is not None else None,
+        split_vertices=p.split_vertices | set(range(len(p.vertices), len(vertices))),
+    )
+
+
+def _assemble(**fields) -> CreasePattern:
+    """A `CreasePattern` from coerced fields known to be valid, skipping
+    `_validate_pattern`. `normalize_pattern` needs no check: the halves of a
+    validated crease keep every planarity property of the whole, and its
+    midpoint is strictly inside the paper and on no other crease or vertex."""
+    p = object.__new__(CreasePattern)
+    p.__dict__.update(fields)
+    return p
 
 
 # --------------------------------------------------------------------------

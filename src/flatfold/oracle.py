@@ -41,25 +41,20 @@ class LayerModel:
 
     ``directions[j]`` is where crease j lands on the folded ray diagram,
     ``intervals[j]`` the span sector j covers, and ``orientations[j]`` which
-    face of the paper sector j shows (+1 for sector 0's face). ``stacking``
-    lists sectors bottom-to-top once a layer order has been chosen.
+    face of the paper sector j shows (+1 for sector 0's face).
     """
 
     angles: AngleSequence
     directions: tuple[Fraction, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
     orientations: tuple[int, ...]
-    stacking: Optional[tuple[int, ...]] = None
 
 
 def fold_directions(v: AngleSequence) -> LayerModel:
     """Walk the sectors around the vertex, alternating direction at every
     crease, and record where everything lands. Fails if the walk does not
     close up, i.e. if the alternating sector sum is nonzero."""
-    if v.total > 360:
-        raise UnsupportedError(
-            "layer analysis supports sector totals up to one full turn"
-        )
+    _within_one_turn(v)
     if not kawasaki(v):
         raise NotFlatFoldableError("the folded boundary walk does not close up")
     m = len(v)
@@ -203,22 +198,21 @@ def _search(sheets: list[_Sheet], folds: list[_Fold]) -> Optional[list[int]]:
     return rec(1)
 
 
-def _has_stacking(v: AngleSequence, mv: MVAssignment) -> bool:
-    model = fold_directions(v)
-    sheets, folds = _cyclic_net(model, mv)
-    found = _search(sheets, folds)
-    if found is None:
-        return False
-    assert stacking_valid(model, mv, tuple(found))
-    return True
-
-
 def find_stacking(v: AngleSequence, mv: MVAssignment) -> Optional[tuple[int, ...]]:
     """A witness stacking for the assignment, or None if there is none."""
     model = fold_directions(v)
-    sheets, folds = _cyclic_net(model, mv)
-    found = _search(sheets, folds)
-    return None if found is None else tuple(found)
+    found = _search(*_cyclic_net(model, mv))
+    if found is None:
+        return None
+    assert stacking_valid(model, mv, found)
+    return tuple(found)
+
+
+def _within_one_turn(v: AngleSequence) -> None:
+    if v.total > 360:
+        raise UnsupportedError(
+            "layer analysis supports sector totals up to one full turn"
+        )
 
 
 def _guard(v: AngleSequence, limit: int) -> None:
@@ -226,10 +220,7 @@ def _guard(v: AngleSequence, limit: int) -> None:
         raise CapacityError(
             "%d sectors exceed the exhaustive-search limit of %d" % (len(v), limit)
         )
-    if v.total > 360:
-        raise UnsupportedError(
-            "layer analysis supports sector totals up to one full turn"
-        )
+    _within_one_turn(v)
 
 
 def oracle_is_valid(
@@ -242,12 +233,33 @@ def oracle_is_valid(
         raise ValueError("assignment length must match the number of creases")
     if not kawasaki(v):
         return False
-    return _has_stacking(v, mv)
+    return find_stacking(v, mv) is not None
 
 
 def _all_assignments(m: int) -> Iterable[MVAssignment]:
     for combo in itertools.product(tuple(MVLabel), repeat=m):
         yield MVAssignment(combo)
+
+
+def _accepted(
+    v: AngleSequence,
+    pool: Iterable[MVAssignment],
+    limit: int,
+    maekawa_prefilter: bool,
+) -> list[MVAssignment]:
+    """The assignments of ``pool`` the oracle accepts, in pool order."""
+    _guard(v, limit)
+    if not kawasaki(v):
+        return []
+    out = []
+    for mv in pool:
+        if len(mv) != len(v):
+            raise ValueError("assignment length must match the number of creases")
+        if maekawa_prefilter and not maekawa_check(mv):
+            continue
+        if find_stacking(v, mv) is not None:
+            out.append(mv)
+    return out
 
 
 def oracle_count(
@@ -265,46 +277,22 @@ def oracle_count(
     work using the turn-the-paper-over bijection: an assignment folds flat
     exactly when its label-for-label flip does.
     """
-    _guard(v, limit)
-    if not kawasaki(v):
-        return 0
-    m = len(v)
     scale = 1
     if assignments is not None:
         pool: Iterable[MVAssignment] = assignments
-    elif use_flip_symmetry and m >= 1:
-        pool = (
-            MVAssignment((MVLabel.MOUNTAIN,) + rest)
-            for rest in itertools.product(tuple(MVLabel), repeat=m - 1)
-        )
+    elif use_flip_symmetry:
+        pool = (mv for mv in _all_assignments(len(v)) if mv[0] is MVLabel.MOUNTAIN)
         scale = 2
     else:
-        pool = _all_assignments(m)
-    count = 0
-    for mv in pool:
-        if len(mv) != m:
-            raise ValueError("assignment length must match the number of creases")
-        if maekawa_prefilter and not maekawa_check(mv):
-            continue
-        if _has_stacking(v, mv):
-            count += 1
-    return count * scale
+        pool = _all_assignments(len(v))
+    return len(_accepted(v, pool, limit, maekawa_prefilter)) * scale
 
 
 def enumerate_valid(
     v: AngleSequence, *, limit: int = DEFAULT_LIMIT, maekawa_prefilter: bool = True
 ) -> list[MVAssignment]:
     """All valid assignments, in lexicographic M-before-V order."""
-    _guard(v, limit)
-    if not kawasaki(v):
-        return []
-    out = []
-    for mv in _all_assignments(len(v)):
-        if maekawa_prefilter and not maekawa_check(mv):
-            continue
-        if _has_stacking(v, mv):
-            out.append(mv)
-    return out
+    return _accepted(v, _all_assignments(len(v)), limit, maekawa_prefilter)
 
 
 def run_restricted_valid(
@@ -322,10 +310,7 @@ def run_restricted_valid(
     span the whole folded stack, and the unfolded cone beyond them bulges
     away from the flat layers, so it imposes no ordering of its own.
     """
-    if v.total > 360:
-        raise UnsupportedError(
-            "layer analysis supports sector totals up to one full turn"
-        )
+    _within_one_turn(v)
     if run.k + 2 > limit:
         raise CapacityError(
             "%d creases exceed the exhaustive-search limit of %d" % (run.k + 2, limit)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatfold import core
 from flatfold.cli import emit_svg, main, parse_angles, parse_pattern
 from flatfold.core import AngleSequence, CreasePattern, normalize_pattern
 from flatfold.errors import ParseError, PlanarityError, SchemaError
@@ -35,6 +36,15 @@ class TestParseAngles:
         with pytest.raises(ParseError):
             parse_angles("   ")
 
+    @pytest.mark.parametrize("token", ["1e5", "1E5", "2.5e-3", "1e5000"])
+    def test_exponent_notation_rejected(self, token):
+        with pytest.raises(ParseError, match="exponent notation.*position 2"):
+            parse_angles("90 %s 90" % token)
+
+    def test_overlong_token_rejected(self):
+        with pytest.raises(ParseError, match="position 1 is longer than"):
+            parse_angles("1" * 5000 + " 1")
+
 
 def write_pattern(tmp_path, doc, name="pattern.json"):
     path = tmp_path / name
@@ -47,6 +57,21 @@ VALID_DOC = {
     "creases": [[4, 5], [4, 6], [4, 7], [4, 8]],
     "boundary": [0, 1, 2, 3],
     "assignment": ["M", "M", "M", "V"],
+}
+
+
+BORDER_CREASE_DOC = {
+    "vertices": [[0, 0], [4, 0], [4, 4], [0, 4], [0, 2], [4, 2]],
+    "creases": [[4, 5]],
+    "boundary": [0, 1, 2, 3],
+}
+
+# A crease joining the two edges of the notch of an L-shaped sheet runs
+# outside the paper, though both its endpoints are on the border.
+NOTCH_DOC = {
+    "vertices": [[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4], [3, 2], [2, 3]],
+    "creases": [[6, 7]],
+    "boundary": [0, 1, 2, 3, 4, 5],
 }
 
 
@@ -67,14 +92,24 @@ class TestParsePattern:
         assert p.point(4) == (Fraction(1, 2), Fraction(1, 4))
 
     def test_normalizes_border_creases(self, tmp_path):
-        doc = {
-            "vertices": [[0, 0], [4, 0], [4, 4], [0, 4], [0, 2], [4, 2]],
-            "creases": [[4, 5]],
-            "boundary": [0, 1, 2, 3],
-        }
-        p = parse_pattern(write_pattern(tmp_path, doc))
+        p = parse_pattern(write_pattern(tmp_path, BORDER_CREASE_DOC))
         assert len(p.creases) == 2
         assert len(p.split_vertices) == 1
+
+    @pytest.mark.parametrize(
+        "doc", [VALID_DOC, BORDER_CREASE_DOC], ids=["no-split", "split"]
+    )
+    def test_validates_once(self, tmp_path, monkeypatch, doc):
+        calls = []
+        validate = core._validate_pattern
+
+        def counting(p):
+            calls.append(p)
+            validate(p)
+
+        monkeypatch.setattr(core, "_validate_pattern", counting)
+        parse_pattern(write_pattern(tmp_path, doc))
+        assert len(calls) == 1
 
     def test_wrong_assignment_length(self, tmp_path):
         doc = dict(VALID_DOC, assignment=["M", "V"])
@@ -171,6 +206,25 @@ class TestCommands:
         count = json.loads(out)
         assert analyze["count"]["value"] == count["count"]["value"] == 48
         assert analyze["bounds"] == {"lower": 16, "upper": 112}
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (("count", "90,90,90,90"), ["command", "input", "count", "reason"]),
+            (
+                ("analyze", "90,90,90"),
+                [
+                    "command", "input", "degree_even", "kawasaki",
+                    "bounds", "count", "reason",
+                ],
+            ),
+        ],
+    )
+    def test_text_report_key_order(self, capsys, argv, keys):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        top = [ln.split(":")[0] for ln in out.splitlines() if not ln.startswith(" ")]
+        assert top == keys + ["timing_s"]
 
     def test_json_round_trip_is_byte_identical(self, capsys):
         for argv in (
@@ -276,6 +330,13 @@ class TestCommands:
         assert report["generalized_maekawa"]["evaluated"] is False
         assert report["generalized_maekawa"]["violating_vertices"] == [4]
 
+    def test_pattern_check_rejects_crease_outside_paper(self, capsys, tmp_path):
+        path = write_pattern(tmp_path, NOTCH_DOC)
+        code, out, err = run_cli(capsys, "pattern", "check", path)
+        assert code == 1
+        assert out == ""
+        assert "crease 0 lies outside the paper" in err
+
     def test_pattern_svg(self, capsys, tmp_path):
         path = write_pattern(tmp_path, VALID_DOC)
         out_svg = tmp_path / "out.svg"
@@ -293,6 +354,29 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "selftest", "--per-size", "2")
         assert code == 0
         assert "0 failures" in out
+
+    @pytest.mark.parametrize(
+        "token", ["1e5000", "1" * 5000], ids=["exponent", "5000-digit"]
+    )
+    def test_huge_token_exits_one(self, capsys, token):
+        code, out, err = run_cli(capsys, "count", "%s %s" % (token, token))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_unexpected_exception_exits_two(self, capsys, monkeypatch):
+        import flatfold.cli as climod
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(climod, "cmd_count", broken)
+        code, out, err = run_cli(capsys, "count", "90,90,90,90")
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+        assert "Traceback" not in err
 
     def test_selftest_flags_disagreement(self, capsys, monkeypatch):
         import flatfold.cli as climod

@@ -1,9 +1,12 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flatfold import core, corpus
 from flatfold.core import (
     Angle,
     AngleSequence,
@@ -17,6 +20,37 @@ from flatfold.errors import PlanarityError, StructuralError
 
 def square(side=4):
     return [(0, 0), (side, 0), (side, side), (0, side)]
+
+
+# An L-shaped sheet: the square (0,0)-(4,4) with the corner x > 2, y > 2 cut
+# away. Vertices 6 and 7 sit on the two edges of the notch.
+L_SHAPE = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4), (3, 2), (2, 3)]
+
+
+def split_by_rebuilding(p):
+    """Reference split: build the split pattern from scratch, so the full
+    `_validate_pattern` runs over every vertex and crease again."""
+    points = [v.point for v in p.vertices]
+    creases, labels, split = [], [], set(p.split_vertices)
+    for ci, (i, j) in enumerate(p.creases):
+        halves = [(i, j)]
+        if p.vertices[i].on_boundary and p.vertices[j].on_boundary:
+            (x1, y1), (x2, y2) = points[i], points[j]
+            points.append(((x1 + x2) / 2, (y1 + y2) / 2))
+            split.add(len(points) - 1)
+            halves = [(i, len(points) - 1), (len(points) - 1, j)]
+        creases.extend(halves)
+        if p.assignment is not None:
+            labels.extend([p.assignment[ci]] * len(halves))
+    assignment = MVAssignment(tuple(labels)) if p.assignment is not None else None
+    return CreasePattern.build(points, creases, p.boundary, assignment, split)
+
+
+def unsplit_chain_pattern(rng, k, monkeypatch):
+    """`corpus.chain_pattern` with its border-to-border crease left whole."""
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "normalize_pattern", lambda p: p)
+        return corpus.chain_pattern(rng, k, with_split=True)
 
 
 def test_angle_accepts_rationals():
@@ -128,6 +162,28 @@ class TestNormalizePattern:
         once = normalize_pattern(p)
         assert normalize_pattern(once) == once
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_full_rebuild_on_chain_patterns(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        raw = unsplit_chain_pattern(rng, rng.randint(1, 5), monkeypatch)
+        labelled = dataclasses.replace(
+            raw,
+            assignment=MVAssignment(tuple(rng.choice("MV") for _ in raw.creases)),
+        )
+        for p in (raw, labelled):
+            q = normalize_pattern(p)
+            assert len(q.split_vertices) == 1
+            assert q == split_by_rebuilding(p)
+
+    def test_never_validates(self, monkeypatch):
+        p = CreasePattern.build(
+            square() + [(0, 2), (4, 2)], [(4, 5)], boundary=(0, 1, 2, 3)
+        )
+        calls = []
+        monkeypatch.setattr(core, "_validate_pattern", calls.append)
+        assert len(normalize_pattern(p).split_vertices) == 1
+        assert calls == []
+
 
 class TestPatternValidation:
     def test_dangling_endpoint(self):
@@ -170,6 +226,27 @@ class TestPatternValidation:
     def test_boundary_only_pattern_is_fine(self):
         p = CreasePattern.build(square(), [], boundary=(0, 1, 2, 3))
         assert len(p.creases) == 0
+
+    def test_border_crease_outside_nonconvex_paper(self):
+        with pytest.raises(PlanarityError, match="crease 0 lies outside the paper"):
+            CreasePattern.build(L_SHAPE, [(6, 7)], boundary=range(6))
+
+    def test_border_crease_inside_nonconvex_paper(self):
+        p = CreasePattern.build(L_SHAPE + [(3, 0)], [(6, 8)], boundary=range(6))
+        assert normalize_pattern(p).point(9) == (Fraction(3), Fraction(1))
+
+    @pytest.mark.parametrize(
+        "boundary",
+        [(0, 1), (0, 1, 9), (0, 1, -1), (0, 1, 1, 2)],
+        ids=["too-short", "index-too-high", "index-negative", "repeated"],
+    )
+    def test_malformed_border(self, boundary):
+        with pytest.raises(StructuralError):
+            CreasePattern.build(square(), [], boundary=boundary)
+
+    def test_zero_length_border_edge(self):
+        with pytest.raises(StructuralError):
+            CreasePattern.build(square() + [(4, 4)], [], boundary=(0, 1, 2, 4, 3))
 
 
 class TestVertexStar:
