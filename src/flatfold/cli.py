@@ -83,7 +83,8 @@ def parse_assignment(text: str) -> MVAssignment:
 
 
 def _coerce_coordinate(value: Any, what: str) -> Fraction:
-    if isinstance(value, (int, Fraction)):
+    # `type`, not `isinstance`, here and for indices: JSON true is an int
+    if type(value) in (int, Fraction):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -129,11 +130,11 @@ def parse_pattern(path: str) -> CreasePattern:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(i, int) for i in entry)
+            or not all(type(i) is int for i in entry)
         ):
             raise SchemaError("each crease must be an [i, j] index pair")
         creases.append((entry[0], entry[1]))
-    if not all(isinstance(i, int) for i in data["boundary"]):
+    if not all(type(i) is int for i in data["boundary"]):
         raise SchemaError("the boundary must list vertex indices")
     assignment = None
     if data.get("assignment") is not None:

@@ -260,15 +260,12 @@ def _collinear_overlap(a: Point, b: Point, c: Point, d: Point) -> bool:
 def _point_in_polygon(p: Point, poly: Sequence[Point]) -> bool:
     """Strict interior test; the caller must rule out boundary points first."""
     inside = False
-    px, py = p
     n = len(poly)
     for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > py) != (y2 > py):
-            xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if xint > px:
-                inside = not inside
+        a, b = poly[i], poly[(i + 1) % n]
+        # ab crosses right of p iff p is left of ab directed upward: no division
+        if (a[1] > p[1]) != (b[1] > p[1]) and _orient(a, b, p) == (1 if b[1] > a[1] else -1):
+            inside = not inside
     return inside
 
 
@@ -312,14 +309,37 @@ class CreasePattern:
         """Construct from raw coordinates, deriving the boundary flags."""
         pts = [(Fraction(x), Fraction(y)) for x, y in points]
         boundary = tuple(int(i) for i in boundary)
-        bedges = _border_edges(pts, boundary)
-        flags = [any(_on_segment(p, a, b) for a, b in bedges) for p in pts]
-        vertices = tuple(Vertex(x, y, flag) for (x, y), flag in zip(pts, flags))
+        geometry = _integer_geometry(pts, boundary)
+        vertices = tuple(Vertex(x, y, flag) for (x, y), flag in zip(pts, geometry[1]))
         if isinstance(assignment, str):
             assignment = MVAssignment.from_string(assignment)
         elif assignment is not None and not isinstance(assignment, MVAssignment):
             assignment = MVAssignment(tuple(MVLabel(l) for l in assignment))
-        return cls(vertices, creases, boundary, assignment, frozenset(split_vertices))
+        p = cls.__new__(cls)
+        p.__dict__["_geometry"] = geometry  # validation reuses the flags derived here
+        p.__init__(vertices, creases, boundary, assignment, frozenset(split_vertices))
+        return p
+
+    def with_assignment(self, assignment: MVAssignment) -> "CreasePattern":
+        """The same pattern relabelled; checks the label count, not the geometry."""
+        _check_label_count(assignment, self.creases)
+        return _assemble(**{**self.__dict__, "assignment": assignment})
+
+    @functools.cached_property
+    def _geometry(self) -> tuple[list, list]:
+        return _integer_geometry([v.point for v in self.vertices], self.boundary)
+
+    @functools.cached_property
+    def float_points(self) -> list[tuple[float, float]]:
+        return [(float(v.x), float(v.y)) for v in self.vertices]
+
+    @functools.cached_property
+    def _incidence(self) -> list[list[int]]:
+        at: list[list[int]] = [[] for _ in self.vertices]
+        for ci, crease in enumerate(self.creases):
+            for v in crease:
+                at[v].append(ci)
+        return at
 
     # -- simple accessors ---------------------------------------------------
 
@@ -331,16 +351,13 @@ class CreasePattern:
         return self.point(i), self.point(j)
 
     def incident_creases(self, v: int) -> list[int]:
-        return [ci for ci, (i, j) in enumerate(self.creases) if v in (i, j)]
+        return list(self._incidence[v])
 
     def degree(self, v: int) -> int:
-        return len(self.incident_creases(v))
+        return len(self._incidence[v])
 
     def interior_vertex_ids(self) -> list[int]:
         return [i for i, vert in enumerate(self.vertices) if not vert.on_boundary]
-
-    def boundary_edges(self) -> list[tuple[Point, Point]]:
-        return _border_edges([v.point for v in self.vertices], self.boundary)
 
 
 def _border_edges(
@@ -354,8 +371,24 @@ def _border_edges(
     return [(pts[boundary[i]], pts[boundary[(i + 1) % m]]) for i in range(m)]
 
 
+def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[list, list]:
+    """The points scaled to integers, and which of them lie on the border. The
+    factor, twice the LCM of all denominators, is positive, so every predicate
+    keeps its value, and even, so crease midpoints stay integral."""
+    scale = 2 * math.lcm(*(c.denominator for pt in pts for c in pt))
+    ipts = [tuple(c.numerator * (scale // c.denominator) for c in pt) for pt in pts]
+    bedges = _border_edges(ipts, boundary)
+    return ipts, [any(_on_segment(q, a, b) for a, b in bedges) for q in ipts]
+
+
 def _midpoint(a: Point, b: Point) -> Point:
     return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+
+
+def _check_label_count(assignment: Optional[MVAssignment], creases: Sequence) -> None:
+    if assignment is not None and len(assignment) != len(creases):
+        raise StructuralError("assignment has %d labels for %d creases"
+                              % (len(assignment), len(creases)))
 
 
 def _validate_pattern(p: CreasePattern) -> None:
@@ -368,7 +401,7 @@ def _validate_pattern(p: CreasePattern) -> None:
     if len(set(p.boundary)) != len(p.boundary):
         raise StructuralError("border cycle repeats a vertex")
 
-    pts = [v.point for v in p.vertices]
+    pts, flags = p._geometry
     if len(set(pts)) != n:
         raise StructuralError("two vertices share the same coordinates")
 
@@ -395,10 +428,9 @@ def _validate_pattern(p: CreasePattern) -> None:
 
     # boundary flags must match the geometry; everything else strictly inside
     for idx, vert in enumerate(p.vertices):
-        on_border = any(_on_segment(vert.point, a, b) for a, b in bedges)
-        if on_border != vert.on_boundary:
+        if flags[idx] != vert.on_boundary:
             raise StructuralError("vertex %d has a wrong border flag" % idx)
-        if not on_border and not _point_in_polygon(vert.point, bpoly):
+        if not flags[idx] and not _point_in_polygon(pts[idx], bpoly):
             raise StructuralError("vertex %d lies outside the paper" % idx)
 
     # creases: valid indices, positive length, no duplicates
@@ -413,13 +445,15 @@ def _validate_pattern(p: CreasePattern) -> None:
             raise StructuralError("crease %d duplicates another crease" % ci)
         seen.add(key)
 
-    # no vertex may sit in the relative interior of a crease
+    # no vertex may sit inside a crease; bounding boxes skip the far ones
+    boxes = [(min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
+             for a, b in ((pts[i], pts[j]) for i, j in p.creases)]
     for ci, (i, j) in enumerate(p.creases):
-        a, b = pts[i], pts[j]
-        for idx in range(n):
-            if idx in (i, j):
+        x0, y0, x1, y1 = boxes[ci]
+        for idx, (x, y) in enumerate(pts):
+            if idx in (i, j) or not (x0 <= x <= x1 and y0 <= y <= y1):
                 continue
-            if _on_segment(pts[idx], a, b):
+            if _on_segment(pts[idx], pts[i], pts[j]):
                 raise PlanarityError(
                     "vertex %d lies inside crease %d; split the crease there" % (idx, ci)
                 )
@@ -428,12 +462,13 @@ def _validate_pattern(p: CreasePattern) -> None:
     for ci in range(len(p.creases)):
         i1, j1 = p.creases[ci]
         a, b = pts[i1], pts[j1]
+        x0, y0, x1, y1 = boxes[ci]
         for cj in range(ci + 1, len(p.creases)):
             i2, j2 = p.creases[cj]
-            c, d = pts[i2], pts[j2]
-            if {i1, j1} & {i2, j2}:
-                continue  # sharing a vertex; overlaps were caught above
-            if _segments_touch(a, b, c, d):
+            u0, v0, u1, v1 = boxes[cj]
+            if u0 > x1 or u1 < x0 or v0 > y1 or v1 < y0 or {i1, j1} & {i2, j2}:
+                continue  # far apart, or sharing a vertex (overlaps were caught above)
+            if _segments_touch(a, b, pts[i2], pts[j2]):
                 raise PlanarityError("creases %d and %d cross" % (ci, cj))
 
     # creases stay inside the paper: they may touch the border only at endpoints
@@ -448,7 +483,8 @@ def _validate_pattern(p: CreasePattern) -> None:
         # with an interior endpoint is inside. One running border to border
         # may still cross a notch of non-convex paper; its midpoint decides.
         border_to_border = p.vertices[i].on_boundary and p.vertices[j].on_boundary
-        if border_to_border and not _point_in_polygon(_midpoint(a, b), bpoly):
+        mid = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+        if border_to_border and not _point_in_polygon(mid, bpoly):
             raise PlanarityError("crease %d lies outside the paper" % ci)
 
     # every interior vertex must carry at least one crease
@@ -457,11 +493,7 @@ def _validate_pattern(p: CreasePattern) -> None:
         if not vert.on_boundary and idx not in used:
             raise StructuralError("isolated interior vertex %d" % idx)
 
-    if p.assignment is not None and len(p.assignment) != len(p.creases):
-        raise StructuralError(
-            "assignment has %d labels for %d creases"
-            % (len(p.assignment), len(p.creases))
-        )
+    _check_label_count(p.assignment, p.creases)
 
     for idx in p.split_vertices:
         if not 0 <= idx < n or p.vertices[idx].on_boundary:
@@ -535,13 +567,14 @@ def incident_creases_ccw(
 ) -> list[tuple[int, tuple[Fraction, Fraction]]]:
     """Creases at v with their outgoing direction vectors, sorted CCW from +x."""
     vx, vy = p.point(v)
+    ipts = p._geometry[0]  # the same directions scaled to integers sort faster
     items = []
-    for ci, (i, j) in enumerate(p.creases):
-        if v in (i, j):
-            ox, oy = p.point(j if i == v else i)
-            items.append((ci, (ox - vx, oy - vy)))
-    items.sort(key=functools.cmp_to_key(lambda a, b: _compare_directions(a[1], b[1])))
-    return items
+    for ci in p._incidence[v]:
+        o = sum(p.creases[ci]) - v  # the other end
+        (ox, oy), (ix, iy) = p.point(o), ipts[o]
+        items.append((ci, (ox - vx, oy - vy), (ix - ipts[v][0], iy - ipts[v][1])))
+    items.sort(key=functools.cmp_to_key(lambda a, b: _compare_directions(a[2], b[2])))
+    return [item[:2] for item in items]
 
 
 def _direction_degrees_exact(d: tuple[Fraction, Fraction]) -> Optional[Fraction]:

@@ -212,48 +212,50 @@ def random_local_parity_assignment(
     """
     n = len(p.creases)
     interior = p.interior_vertex_ids()
-    incident = {v: p.incident_creases(v) for v in interior}
-    vertex_of_crease: dict[int, list[int]] = {ci: [] for ci in range(n)}
-    for v, cis in incident.items():
-        for ci in cis:
-            vertex_of_crease[ci].append(v)
+    vertex_of_crease = [[v for v in c if not p.vertices[v].on_boundary] for c in p.creases]
 
     order = list(range(n))
     rng.shuffle(order)
     labels: list[Optional[MVLabel]] = [None] * n
     tally = {v: 0 for v in interior}
-    remaining = {v: len(incident[v]) for v in interior}
-    steps = 0
+    remaining = {v: p.degree(v) for v in interior}
 
     def feasible(v: int) -> bool:
         if remaining[v] == 0:
             return abs(tally[v]) == 2
         return abs(tally[v]) <= remaining[v] + 2
 
-    def assign(pos: int) -> bool:
-        nonlocal steps
+    def put(ci: int, sign: int) -> None:
+        """Count (sign 1) or uncount (sign -1) the label of crease ci."""
+        delta = sign if labels[ci] is MVLabel.MOUNTAIN else -sign
+        for v in vertex_of_crease[ci]:
+            tally[v] += delta
+            remaining[v] -= sign
+
+    # Depth-first with an explicit stack, as a pattern may have more creases
+    # than the recursion limit allows levels. Each descent costs one step.
+    untried: list[list[MVLabel]] = []  # labels left to try at each level
+    steps = 0
+    while True:
         steps += 1
         if steps > attempts * n:
-            return False
-        if pos == n:
-            return True
-        ci = order[pos]
+            return None
+        if len(untried) == n:
+            return MVAssignment(tuple(labels))  # type: ignore[arg-type]
         choices = [MVLabel.MOUNTAIN, MVLabel.VALLEY]
         rng.shuffle(choices)
-        for label in choices:
-            labels[ci] = label
-            delta = 1 if label is MVLabel.MOUNTAIN else -1
-            for v in vertex_of_crease[ci]:
-                tally[v] += delta
-                remaining[v] -= 1
-            if all(feasible(v) for v in vertex_of_crease[ci]) and assign(pos + 1):
-                return True
-            for v in vertex_of_crease[ci]:
-                tally[v] -= delta
-                remaining[v] += 1
-            labels[ci] = None
-        return False
-
-    if not assign(0):
-        return None
-    return MVAssignment(tuple(labels))  # type: ignore[arg-type]
+        untried.append(choices)
+        while True:  # next label at this level, backing up from spent levels
+            ci = order[len(untried) - 1]
+            if labels[ci] is not None:
+                put(ci, -1)
+                labels[ci] = None
+            if untried[-1]:
+                labels[ci] = untried[-1].pop(0)
+                put(ci, 1)
+                if all(feasible(v) for v in vertex_of_crease[ci]):
+                    break
+            else:
+                untried.pop()
+                if not untried:
+                    return None

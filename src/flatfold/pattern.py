@@ -23,6 +23,7 @@ from .core import (
     PatternTally,
     incident_creases_ccw,
     vertex_star,
+    _border_edges,
     _orient,
 )
 from .errors import LocalMaekawaError, StructuralError
@@ -100,10 +101,8 @@ def reflection(p: CreasePattern, crease: int) -> AffineMap:
     """Reflection across the full line containing a crease segment."""
     if not 0 <= crease < len(p.creases):
         raise StructuralError("crease %d out of range" % crease)
-    (x1, y1), (x2, y2) = p.crease_points(crease)
-    return AffineMap.reflection_across(
-        (float(x1), float(y1)), (float(x2), float(y2))
-    )
+    i, j = p.creases[crease]
+    return AffineMap.reflection_across(p.float_points[i], p.float_points[j])
 
 
 @dataclass(frozen=True)
@@ -174,28 +173,20 @@ def curve_around_vertex(p: CreasePattern, v: int) -> ClosedCurve:
     incident = incident_creases_ccw(p, v)
     if not incident:
         raise StructuralError("vertex %d has no creases" % v)
-    vx, vy = (float(c) for c in p.point(v))
+    pts = p.float_points
+    vx, vy = pts[v]
     clearance = math.inf
-    for ci, (i, j) in enumerate(p.creases):
-        (ax, ay), (bx, by) = (
-            (float(x) for x in pt) for pt in p.crease_points(ci)
-        )
+    for i, j in p.creases:
+        (ax, ay), (bx, by) = pts[i], pts[j]
         if v in (i, j):
             clearance = min(clearance, math.hypot(bx - ax, by - ay))
         else:
             clearance = min(clearance, _distance_point_segment(vx, vy, ax, ay, bx, by))
-    for idx, vert in enumerate(p.vertices):
+    for idx, (x, y) in enumerate(pts):
         if idx != v:
-            clearance = min(
-                clearance, math.hypot(float(vert.x) - vx, float(vert.y) - vy)
-            )
-    for a, b in p.boundary_edges():
-        clearance = min(
-            clearance,
-            _distance_point_segment(
-                vx, vy, float(a[0]), float(a[1]), float(b[0]), float(b[1])
-            ),
-        )
+            clearance = min(clearance, math.hypot(x - vx, y - vy))
+    for (ax, ay), (bx, by) in _border_edges(pts, p.boundary):
+        clearance = min(clearance, _distance_point_segment(vx, vy, ax, ay, bx, by))
     if not clearance > 0.0:
         raise StructuralError("no room for a vertex-avoiding circle at %d" % v)
     radius = clearance / 2.0

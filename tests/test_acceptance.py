@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 
 from flatfold.cli import main
-from flatfold.core import AngleSequence, CreasePattern, MVAssignment, MVLabel
+from flatfold.core import AngleSequence, MVAssignment, MVLabel
 from flatfold.corpus import (
     chain_pattern,
     random_flat_sequence,
@@ -145,9 +145,7 @@ def test_criterion_09_parity_identity_on_random_patterns():
             mv = random_local_parity_assignment(rng, p)
             if mv is None:
                 continue
-            labelled = CreasePattern(
-                p.vertices, p.creases, p.boundary, mv, p.split_vertices
-            )
+            labelled = p.with_assignment(mv)
             _tally, holds = generalized_maekawa(labelled)
             assert holds
             checked += 1

@@ -337,6 +337,25 @@ class TestCommands:
         assert out == ""
         assert "crease 0 lies outside the paper" in err
 
+    @pytest.mark.parametrize(
+        "key, index, value, message",
+        [
+            ("vertices", 4, [2, True], "bad coordinate True"),
+            ("creases", 0, [4, True], "each crease must be an [i, j] index pair"),
+            ("boundary", 0, False, "the boundary must list vertex indices"),
+        ],
+        ids=["coordinate", "crease-index", "boundary-index"],
+    )
+    def test_pattern_check_rejects_json_booleans(
+        self, capsys, tmp_path, key, index, value, message
+    ):
+        doc = dict(VALID_DOC, **{key: list(VALID_DOC[key])})
+        doc[key][index] = value  # read as the number 1 or 0, the rest stays valid
+        code, out, err = run_cli(capsys, "pattern", "check", write_pattern(tmp_path, doc))
+        assert code == 1
+        assert out == ""
+        assert err == "error: %s\n" % message
+
     def test_pattern_svg(self, capsys, tmp_path):
         path = write_pattern(tmp_path, VALID_DOC)
         out_svg = tmp_path / "out.svg"

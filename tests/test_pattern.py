@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -238,9 +239,7 @@ class TestGeneralizedMaekawa:
             mv = random_local_parity_assignment(rng, p)
             if mv is None:
                 continue
-            labelled = CreasePattern(
-                p.vertices, p.creases, p.boundary, mv, p.split_vertices
-            )
+            labelled = p.with_assignment(mv)
             tally, holds = generalized_maekawa(labelled)
             assert holds
             genuine = sum(
@@ -248,6 +247,23 @@ class TestGeneralizedMaekawa:
             )
             assert tally.up_vertices + tally.down_vertices == genuine
             checked += 1
+
+    def test_holds_on_a_strip_deeper_than_the_recursion_limit(self):
+        # 260 X-shaped stars in a row on a 520 x 2 strip, each crease running
+        # from its star to the border: (x, 0) is vertex 2x, (x, 2) is 2x + 1
+        k = 260
+        points = [(x, y) for x in range(2 * k + 1) for y in (0, 2)]
+        points += [(2 * i + 1, 1) for i in range(k)]
+        creases = [
+            (len(points) - k + i, 4 * i + corner) for i in range(k) for corner in (0, 1, 4, 5)
+        ]
+        p = CreasePattern.build(points, creases, boundary=(0, 4 * k, 4 * k + 1, 1))
+        assert len(p.creases) > max(1000, sys.getrecursionlimit())
+        mv = random_local_parity_assignment(random.Random(5), p)
+        assert mv is not None
+        tally, holds = generalized_maekawa(p.with_assignment(mv))
+        assert holds
+        assert tally.up_vertices + tally.down_vertices == k
 
 
 class TestStarTraceEquivalence:
