@@ -13,7 +13,6 @@ import itertools
 import json
 import re
 import sys
-import time
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -296,7 +295,6 @@ def _count_block(v: AngleSequence) -> tuple[Optional[dict], Optional[str]]:
 def cmd_count(args) -> int:
     """``count``, and ``analyze``, which adds degree parity, closure and bounds."""
     v = parse_angles(args.angles)
-    started = time.perf_counter()
     even = len(v) % 2 == 0
     report: dict[str, Any] = {"command": args.command, "input": _input_block(v)}
     if args.command == "analyze":
@@ -311,7 +309,6 @@ def cmd_count(args) -> int:
     else:
         report["count"] = None
         report["reason"] = "odd degree: flat-foldable vertices have even degree"
-    report["timing_s"] = round(time.perf_counter() - started, 6)
     _render(report, args.format)
     return 0
 
@@ -323,7 +320,6 @@ def cmd_check(args) -> int:
         raise ParseError(
             "assignment labels %d creases but the vertex has %d" % (len(mv), len(v))
         )
-    started = time.perf_counter()
     report: dict[str, Any] = {
         "command": "check",
         "input": _input_block(v),
@@ -348,7 +344,6 @@ def cmd_check(args) -> int:
     except UnsupportedError as exc:
         oracle_block["skipped"] = str(exc)
     report["oracle"] = oracle_block
-    report["timing_s"] = round(time.perf_counter() - started, 6)
     _render(report, args.format)
     if oracle_block["ran"] and oracle_block["valid"] != crimp:
         print(
@@ -361,7 +356,6 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     v = parse_angles(args.angles)
-    started = time.perf_counter()
     report: dict[str, Any] = {"command": "enumerate", "input": _input_block(v)}
     if args.fast:
         report["method"] = "crimp-filter"
@@ -381,14 +375,12 @@ def cmd_enumerate(args) -> int:
             raise ParseError("%s (rerun with --fast)" % exc) from None
     report["valid_assignments"] = valid
     report["count"] = len(valid)
-    report["timing_s"] = round(time.perf_counter() - started, 6)
     _render(report, args.format)
     return 0
 
 
 def cmd_pattern_check(args) -> int:
     p = parse_pattern(args.file)
-    started = time.perf_counter()
     kaw = patmod.local_kawasaki_all(p)
     traces = {}
     for vid in p.interior_vertex_ids():
@@ -449,7 +441,6 @@ def cmd_pattern_check(args) -> int:
                 "reason": "local M-V parity fails",
                 "violating_vertices": list(exc.vertex_ids),
             }
-    report["timing_s"] = round(time.perf_counter() - started, 6)
     _render(report, args.format)
     return 0
 
@@ -473,7 +464,6 @@ def cmd_selftest(args) -> int:
     )
     failures = 0
     cases = []
-    started = time.perf_counter()
     for seq in sequences:
         fast = vxmod.count_mv(seq).count
         slow = oracle.oracle_count(seq)
@@ -492,7 +482,6 @@ def cmd_selftest(args) -> int:
                 "%s 2n=%d [%s] recursion=%d oracle=%d"
                 % ("ok  " if ok else "FAIL", len(seq), ",".join(seq.as_strings()), fast, slow)
             )
-    elapsed = round(time.perf_counter() - started, 6)
     if args.format == "json":
         _render(
             {
@@ -500,15 +489,11 @@ def cmd_selftest(args) -> int:
                 "cases": cases,
                 "sequences": len(sequences),
                 "failures": failures,
-                "timing_s": elapsed,
             },
             "json",
         )
     else:
-        print(
-            "selftest: %d sequences, %d failures, %.1fs"
-            % (len(sequences), failures, elapsed)
-        )
+        print("selftest: %d sequences, %d failures" % (len(sequences), failures))
     if failures:
         print(
             "internal invariant violation: recursion and oracle disagree",

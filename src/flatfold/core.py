@@ -91,7 +91,7 @@ class AngleSequence:
         return AngleSequence(tuple(reversed(self.angles)), exact=self.exact)
 
     def as_strings(self) -> list[str]:
-        return [str(Fraction(a)) for a in self.angles]
+        return [str(a) for a in self.angles]
 
 
 class MVLabel(str, Enum):

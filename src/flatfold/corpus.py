@@ -21,7 +21,6 @@ from .core import (
     MVLabel,
     normalize_pattern,
 )
-from .errors import StructuralError
 from .vertex import alternating_sum, kawasaki
 
 FIFTEEN = Fraction(15)
@@ -134,6 +133,8 @@ _DIAG_NE = "ne_sw"
 _DIAG_NW = "nw_se"
 _DIAG_BOTH = "both"
 _STYLES = (_PLAIN, _DIAG_NE, _DIAG_NW, _DIAG_BOTH)
+_NE = (_DIAG_NE, _DIAG_BOTH)
+_NW = (_DIAG_NW, _DIAG_BOTH)
 
 
 def chain_pattern(
@@ -145,20 +146,12 @@ def chain_pattern(
     neighbour or the border) plus optionally one or two straight diagonal
     pairs, keeping every star an exact 45-degree-multiple sequence that
     satisfies closure. ``with_split`` adds one border-to-border crease in an
-    empty corner, which normalization then splits. Retries style choices
-    that make diagonals cross.
+    empty corner, which normalization then splits. Each style is drawn from
+    those whose diagonals miss the left neighbour's, so every draw is planar.
     """
     if n_vertices < 1:
         raise ValueError("need at least one interior vertex")
-    for _ in range(60):
-        try:
-            return _build_chain(rng, n_vertices, with_split)
-        except StructuralError:
-            continue
-    raise RuntimeError("could not draw a planar chain pattern")
-
-
-def _build_chain(rng: random.Random, k: int, with_split: bool) -> CreasePattern:
+    k = n_vertices
     xmax = 2 * k
     corners = [(-2, -2), (xmax, -2), (xmax, 2), (-2, 2)]
     points: list[tuple[Fraction, Fraction]] = [
@@ -178,6 +171,9 @@ def _build_chain(rng: random.Random, k: int, with_split: bool) -> CreasePattern:
     def add(i: int, j: int) -> None:
         creases.append((i, j))
 
+    # the split crease crosses a north-west diagonal at vertex 0, as a
+    # north-east one at its left would
+    left = _DIAG_NE if with_split else _PLAIN
     centers = [pid(2 * i, 0) for i in range(k)]
     for i, c in enumerate(centers):
         x = 2 * i
@@ -189,13 +185,18 @@ def _build_chain(rng: random.Random, k: int, with_split: bool) -> CreasePattern:
             add(c, pid(xmax, 0))
         else:
             add(c, centers[i + 1])
-        style = rng.choice(_STYLES)
-        if style in (_DIAG_NE, _DIAG_BOTH):
+        # a north-east diagonal crosses the right neighbour's north-west one
+        style = rng.choice([
+            s for s in _STYLES
+            if not (left in _NE and s in _NW) and not (left in _NW and s in _NE)
+        ])
+        if style in _NE:
             add(c, pid(x + 2, 2))
             add(c, pid(x - 2, -2))
-        if style in (_DIAG_NW, _DIAG_BOTH):
+        if style in _NW:
             add(c, pid(x - 2, 2))
             add(c, pid(x + 2, -2))
+        left = style
     if with_split:
         add(pid(-2, 1), pid(-1, 2))
     pattern = CreasePattern.build(points, creases, boundary=(0, 1, 2, 3))

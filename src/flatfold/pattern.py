@@ -23,7 +23,6 @@ from .core import (
     PatternTally,
     incident_creases_ccw,
     vertex_star,
-    _border_edges,
     _orient,
 )
 from .errors import LocalMaekawaError, StructuralError
@@ -107,15 +106,10 @@ def reflection(p: CreasePattern, crease: int) -> AffineMap:
 
 @dataclass(frozen=True)
 class ClosedCurve:
-    """A closed, vertex-avoiding curve recorded by the creases it crosses.
-
-    ``crossing_points`` are informational; the reflection composition only
-    depends on which creases are crossed and in what order.
-    """
+    """A closed, vertex-avoiding curve recorded by the creases it crosses,
+    in order: the reflection composition depends on nothing else."""
 
     crease_ids: tuple[int, ...]
-    crossing_points: tuple[tuple[float, float], ...] = ()
-    vertex_avoiding: bool = True
 
 
 @dataclass(frozen=True)
@@ -155,48 +149,21 @@ def reflection_trace(p: CreasePattern, curve: ClosedCurve) -> TraceResult:
     )
 
 
-def _distance_point_segment(
-    px: float, py: float, ax: float, ay: float, bx: float, by: float
-) -> float:
-    vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
-    seg2 = vx * vx + vy * vy
-    t = 0.0 if seg2 == 0.0 else max(0.0, min(1.0, (wx * vx + wy * vy) / seg2))
-    return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
-
-
 def curve_around_vertex(p: CreasePattern, v: int) -> ClosedCurve:
     """A small circle around an interior vertex, listing its creases in
-    counterclockwise order. The radius shrinks below every other feature."""
+    counterclockwise order.
+
+    Validation has proved, exactly, that no other vertex, crease or border
+    edge touches ``v`` and that no two of its creases share a direction, so
+    a small enough circle crosses exactly ``v``'s creases, once each, in the
+    order `incident_creases_ccw` sorts them.
+    """
     if p.vertices[v].on_boundary:
         raise StructuralError("vertex %d is on the border" % v)
     incident = incident_creases_ccw(p, v)
     if not incident:
         raise StructuralError("vertex %d has no creases" % v)
-    pts = p.float_points
-    vx, vy = pts[v]
-    clearance = math.inf
-    for i, j in p.creases:
-        (ax, ay), (bx, by) = pts[i], pts[j]
-        if v in (i, j):
-            clearance = min(clearance, math.hypot(bx - ax, by - ay))
-        else:
-            clearance = min(clearance, _distance_point_segment(vx, vy, ax, ay, bx, by))
-    for idx, (x, y) in enumerate(pts):
-        if idx != v:
-            clearance = min(clearance, math.hypot(x - vx, y - vy))
-    for (ax, ay), (bx, by) in _border_edges(pts, p.boundary):
-        clearance = min(clearance, _distance_point_segment(vx, vy, ax, ay, bx, by))
-    if not clearance > 0.0:
-        raise StructuralError("no room for a vertex-avoiding circle at %d" % v)
-    radius = clearance / 2.0
-    ids = []
-    points = []
-    for ci, (dx, dy) in incident:
-        norm = math.hypot(float(dx), float(dy))
-        ids.append(ci)
-        points.append((vx + radius * float(dx) / norm, vy + radius * float(dy) / norm))
-    return ClosedCurve(tuple(ids), tuple(points), vertex_avoiding=True)
+    return ClosedCurve(tuple(ci for ci, _ in incident))
 
 
 @dataclass(frozen=True)

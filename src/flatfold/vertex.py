@@ -21,9 +21,7 @@ def alternating_sum(v: AngleSequence) -> Fraction:
         raise ParityError(
             "alternating sum needs an even number of sectors, got %d" % len(v)
         )
-    return sum(
-        (Fraction(a) if i % 2 == 0 else -Fraction(a)) for i, a in enumerate(v)
-    )
+    return sum(v.angles[0::2]) - sum(v.angles[1::2])
 
 
 def kawasaki(v: AngleSequence) -> bool:
@@ -144,7 +142,7 @@ def crimp_validity(v: AngleSequence, mv: MVAssignment) -> bool:
         )
     if len(mv) != len(v):
         raise ValueError("assignment length must match the number of creases")
-    sectors = [Fraction(a) for a in v.angles]
+    sectors = list(v.angles)
     labels = list(mv.labels)
     while True:
         m = len(sectors)
@@ -191,8 +189,7 @@ def _reduce_once(seq: AngleSequence, run: RunCondition) -> AngleSequence:
     rot = seq.rotated(run.start - 1)
     s = list(rot.angles)
     if run.k % 2 == 0:
-        merged = Fraction(s[0]) - Fraction(s[1]) + Fraction(s[run.k + 2])
-        residual = [merged] + s[run.k + 3 :]
+        residual = [s[0] - s[1] + s[run.k + 2]] + s[run.k + 3 :]
     else:
         residual = [s[0]] + s[run.k + 2 :]
     return AngleSequence(tuple(residual))
@@ -217,11 +214,12 @@ def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
     product = 1
     trace: list[ReductionStep] = []
     while True:
-        if len(set(current.angles)) == 1:
+        runs = find_runs(current)
+        if not runs:  # all sectors equal
             m = len(current)
             base = 2 * comb(m, m // 2 - 1)
             break
-        run = _pick(current, find_runs(current))
+        run = _pick(current, runs)
         if run.k % 2 == 0:
             factor = comb(run.k + 2, (run.k + 2) // 2)
         else:

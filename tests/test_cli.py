@@ -7,6 +7,7 @@ from flatfold import core
 from flatfold.cli import emit_svg, main, parse_angles, parse_pattern
 from flatfold.core import AngleSequence, CreasePattern, normalize_pattern
 from flatfold.errors import ParseError, PlanarityError, SchemaError
+from flatfold.pattern import curve_around_vertex
 
 
 class TestParseAngles:
@@ -72,6 +73,15 @@ NOTCH_DOC = {
     "vertices": [[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4], [3, 2], [2, 3]],
     "creases": [[6, 7]],
     "boundary": [0, 1, 2, 3, 4, 5],
+}
+
+
+# Two features 10^-400 apart: no float tells them apart, exact validation does.
+NEAR = "%d/%d" % (2 * 10**400 + 1, 10**400)
+NEAR_DOC = {
+    "vertices": [[0, 0], [4, 0], [4, 4], [0, 4], [2, 2], [2, 0], [1, NEAR], [3, NEAR]],
+    "creases": [[4, 5], [6, 7]],
+    "boundary": [0, 1, 2, 3],
 }
 
 
@@ -224,7 +234,7 @@ class TestCommands:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         top = [ln.split(":")[0] for ln in out.splitlines() if not ln.startswith(" ")]
-        assert top == keys + ["timing_s"]
+        assert top == keys
 
     def test_json_round_trip_is_byte_identical(self, capsys):
         for argv in (
@@ -355,6 +365,33 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert err == "error: %s\n" % message
+
+    def test_pattern_check_within_float_resolution(self, capsys, tmp_path):
+        path = write_pattern(tmp_path, NEAR_DOC)
+        assert curve_around_vertex(parse_pattern(path), 4).crease_ids == (0,)
+        code, out, _ = run_cli(capsys, "pattern", "check", path, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["reflection_traces"]["4"]["creases_crossed"] == [0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "20,10,40,50,60,60,60,60"),
+            ("analyze", "20,10,40,50,60,60,60,60"),
+            ("check", "90,90,90,90", "--mv", "MMMV"),
+            ("enumerate", "100,80,80,100"),
+            ("pattern", "check", "PATTERN"),
+            ("selftest", "--per-size", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_same_input_same_bytes(self, capsys, tmp_path, argv, fmt):
+        path = write_pattern(tmp_path, VALID_DOC)
+        argv = [path if a == "PATTERN" else a for a in argv] + ["--format", fmt]
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert run_cli(capsys, *argv) == first
 
     def test_pattern_svg(self, capsys, tmp_path):
         path = write_pattern(tmp_path, VALID_DOC)

@@ -105,12 +105,6 @@ class TestReflectionTrace:
         with pytest.raises(ValueError):
             reflection_trace(cross_pattern(), ClosedCurve(()))
 
-    def test_homotopic_curves_compose_equally(self):
-        p = cross_pattern()
-        auto = curve_around_vertex(p, 4)
-        wobbly = ClosedCurve(auto.crease_ids, crossing_points=())
-        assert reflection_trace(p, auto).map == reflection_trace(p, wobbly).map
-
     def test_cyclic_start_does_not_change_the_verdict(self):
         p = cross_pattern()
         ids = curve_around_vertex(p, 4).crease_ids
@@ -128,11 +122,9 @@ class TestReflectionTrace:
 
 class TestCurveAroundVertex:
     def test_lists_creases_in_cyclic_order(self):
-        p = cross_pattern()
-        curve = curve_around_vertex(p, 4)
-        assert sorted(curve.crease_ids) == [0, 1, 2, 3]
-        assert curve.vertex_avoiding
-        assert len(curve.crossing_points) == 4
+        assert curve_around_vertex(cross_pattern(), 4).crease_ids == (0, 1, 2, 3)
+        p = two_vertex_pattern("M", "MMV", "MMV")
+        assert curve_around_vertex(p, 4).crease_ids == (0, 1, 3, 2)
 
     def test_split_vertex_curve(self):
         p = normalize_pattern(
@@ -151,6 +143,14 @@ class TestCurveAroundVertex:
     def test_boundary_vertex_rejected(self):
         with pytest.raises(StructuralError):
             curve_around_vertex(cross_pattern(), 0)
+
+
+@pytest.mark.parametrize("with_split", [False, True])
+@pytest.mark.parametrize("k", [6, 10, 40])
+def test_chain_pattern_draws_are_planar(k, with_split):
+    for seed in range(20):
+        p = chain_pattern(random.Random(seed), k, with_split=with_split)
+        assert len(p.interior_vertex_ids()) == k + with_split
 
 
 class TestLocalKawasaki:
