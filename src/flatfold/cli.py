@@ -1,6 +1,9 @@
 """Command-line front end: parse inputs, run analyses, emit reports.
 
-Exit codes: 0 when the analysis ran (negative mathematical verdicts are
+Each ``cmd_*`` returns ``(report, violation)`` and prints nothing; a violation
+is the message of a disagreement between two deciders. `main` renders the
+report once, as JSON or as the text lines of the renderer stored beside
+``--format``. Exit codes: 0 when the analysis ran (negative mathematical verdicts are
 results, not failures), 1 for usage/parse errors, 2 for internal invariant
 violations such as the oracle and the recursion disagreeing in ``selftest``,
 and for any unexpected exception, which is reported without a traceback.
@@ -9,7 +12,8 @@ and for any unexpected exception, which is reported without a traceback.
 from __future__ import annotations
 
 import argparse
-import itertools
+import dataclasses
+import functools
 import json
 import re
 import sys
@@ -218,15 +222,6 @@ def emit_svg(p: CreasePattern, out_path: str) -> None:
 # reports
 
 
-def _render(report: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True), file=out)
-    else:
-        for line in _text_lines(report):
-            print(line, file=out)
-
-
 def _text_lines(value: Any, prefix: str = "") -> list[str]:
     lines = []
     if isinstance(value, dict):
@@ -257,6 +252,9 @@ def _scalar(value: Any) -> str:
     return str(value)
 
 
+_NO_FOLDINGS = "no flat foldings: the closure condition fails"
+
+
 def _input_block(v: AngleSequence) -> dict:
     return {
         "angles": v.as_strings(),
@@ -271,7 +269,7 @@ def _count_block(v: AngleSequence) -> tuple[Optional[dict], Optional[str]]:
     try:
         result = vxmod.count_mv(v)
     except NotFlatFoldableError:
-        return None, "no flat foldings: the closure condition fails"
+        return None, _NO_FOLDINGS
     steps = [
         {
             "start": step.start,
@@ -292,7 +290,10 @@ def _count_block(v: AngleSequence) -> tuple[Optional[dict], Optional[str]]:
     )
 
 
-def cmd_count(args) -> int:
+Result = tuple[Optional[dict], Optional[str]]
+
+
+def cmd_count(args) -> Result:
     """``count``, and ``analyze``, which adds degree parity, closure and bounds."""
     v = parse_angles(args.angles)
     even = len(v) % 2 == 0
@@ -309,11 +310,10 @@ def cmd_count(args) -> int:
     else:
         report["count"] = None
         report["reason"] = "odd degree: flat-foldable vertices have even degree"
-    _render(report, args.format)
-    return 0
+    return report, None
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Result:
     v = parse_angles(args.angles)
     mv = parse_assignment(args.mv)
     if len(mv) != len(v):
@@ -327,13 +327,11 @@ def cmd_check(args) -> int:
         "maekawa": vxmod.maekawa_check(mv),
     }
     try:
-        crimp = vxmod.crimp_validity(v, mv)
-        report["crimp_valid"] = crimp
+        report["crimp_valid"] = vxmod.crimp_validity(v, mv)
         report["reason"] = None
     except NotFlatFoldableError:
-        crimp = False
         report["crimp_valid"] = False
-        report["reason"] = "no flat foldings: the closure condition fails"
+        report["reason"] = _NO_FOLDINGS
     oracle_block: dict[str, Any] = {"ran": False, "valid": None, "skipped": None}
     limit = len(v) if args.oracle else oracle.DEFAULT_LIMIT
     try:
@@ -344,29 +342,23 @@ def cmd_check(args) -> int:
     except UnsupportedError as exc:
         oracle_block["skipped"] = str(exc)
     report["oracle"] = oracle_block
-    _render(report, args.format)
-    if oracle_block["ran"] and oracle_block["valid"] != crimp:
-        print(
-            "internal invariant violation: crimp reduction and the oracle disagree",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    disagree = oracle_block["ran"] and oracle_block["valid"] != report["crimp_valid"]
+    return report, "crimp reduction and the oracle disagree" if disagree else None
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> Result:
     v = parse_angles(args.angles)
     report: dict[str, Any] = {"command": "enumerate", "input": _input_block(v)}
     if args.fast:
         report["method"] = "crimp-filter"
-        if not vxmod.kawasaki(v):
-            valid: list[str] = []
-        else:
+        try:
             valid = [
-                "".join(l.value for l in combo)
-                for combo in itertools.product(tuple(MVLabel), repeat=len(v))
-                if vxmod.crimp_validity(v, MVAssignment(combo))
+                str(mv)
+                for mv in oracle.all_assignments(len(v))
+                if vxmod.crimp_validity(v, mv)
             ]
+        except NotFlatFoldableError:
+            valid = []
     else:
         report["method"] = "oracle"
         try:
@@ -375,11 +367,10 @@ def cmd_enumerate(args) -> int:
             raise ParseError("%s (rerun with --fast)" % exc) from None
     report["valid_assignments"] = valid
     report["count"] = len(valid)
-    _render(report, args.format)
-    return 0
+    return report, None
 
 
-def cmd_pattern_check(args) -> int:
+def cmd_pattern_check(args) -> Result:
     p = parse_pattern(args.file)
     kaw = patmod.local_kawasaki_all(p)
     traces = {}
@@ -421,15 +412,7 @@ def cmd_pattern_check(args) -> int:
             report["generalized_maekawa"] = {
                 "evaluated": True,
                 "holds": holds,
-                "tally": {
-                    "mountains": tally.mountains,
-                    "valleys": tally.valleys,
-                    "interior_mountains": tally.interior_mountains,
-                    "interior_valleys": tally.interior_valleys,
-                    "up_vertices": tally.up_vertices,
-                    "down_vertices": tally.down_vertices,
-                    "split_pairs": tally.split_pairs,
-                },
+                "tally": dataclasses.asdict(tally),
                 "convention": (
                     "split border-to-border pairs count as one bookkeeping "
                     "crease: excluded from the tallies and from up/down"
@@ -441,18 +424,18 @@ def cmd_pattern_check(args) -> int:
                 "reason": "local M-V parity fails",
                 "violating_vertices": list(exc.vertex_ids),
             }
-    _render(report, args.format)
-    return 0
+    return report, None
 
 
-def cmd_pattern_svg(args) -> int:
+def cmd_pattern_svg(args) -> Result:
+    """Writes a file, not a report: the only command that prints itself."""
     p = parse_pattern(args.file)
     emit_svg(p, args.output)
     print("wrote %s" % args.output)
-    return 0
+    return None, None
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> Result:
     named = [
         AngleSequence((90, 90, 90, 90)),
         AngleSequence((20, 10, 40, 50, 60, 60, 60, 60)),
@@ -462,45 +445,31 @@ def cmd_selftest(args) -> int:
     sequences = named + corpus.corpus_sequences(
         seed=args.seed, per_size=args.per_size, sizes=(2, 4, 6, 8)
     )
-    failures = 0
     cases = []
     for seq in sequences:
         fast = vxmod.count_mv(seq).count
         slow = oracle.oracle_count(seq)
-        ok = fast == slow
-        failures += not ok
         cases.append(
-            {
-                "angles": seq.as_strings(),
-                "recursion": fast,
-                "oracle": slow,
-                "ok": ok,
-            }
+            {"angles": seq.as_strings(), "recursion": fast, "oracle": slow, "ok": fast == slow}
         )
-        if args.format == "text":
-            print(
-                "%s 2n=%d [%s] recursion=%d oracle=%d"
-                % ("ok  " if ok else "FAIL", len(seq), ",".join(seq.as_strings()), fast, slow)
-            )
-    if args.format == "json":
-        _render(
-            {
-                "command": "selftest",
-                "cases": cases,
-                "sequences": len(sequences),
-                "failures": failures,
-            },
-            "json",
-        )
-    else:
-        print("selftest: %d sequences, %d failures" % (len(sequences), failures))
-    if failures:
-        print(
-            "internal invariant violation: recursion and oracle disagree",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    failures = sum(not case["ok"] for case in cases)
+    report = {
+        "command": "selftest",
+        "cases": cases,
+        "sequences": len(sequences),
+        "failures": failures,
+    }
+    return report, "recursion and oracle disagree" if failures else None
+
+
+def _selftest_lines(report: dict) -> list[str]:
+    """One line per case, then the summary."""
+    return [
+        "%s 2n=%d [%s] recursion=%d oracle=%d"
+        % ("ok  " if c["ok"] else "FAIL", len(c["angles"]), ",".join(c["angles"]),
+           c["recursion"], c["oracle"])
+        for c in report["cases"]
+    ] + ["selftest: %d sequences, %d failures" % (report["sequences"], report["failures"])]
 
 
 # --------------------------------------------------------------------------
@@ -512,49 +481,45 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _add_format(sub) -> None:
+def _add_format(sub, text=_text_lines) -> None:
+    """``--format``, and beside it the renderer of the text format."""
     sub.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
+    sub.set_defaults(text=text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = _Parser(
         prog="flatfold",
         description="Flat-foldability analysis for origami crease patterns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="closure, parity, bounds, and count")
-    p_analyze.add_argument("angles", help='sector angles, e.g. "90,90,90,90"')
-    _add_format(p_analyze)
-    p_analyze.set_defaults(func=cmd_count)
-
-    p_count = sub.add_parser("count", help="count valid assignments")
-    p_count.add_argument("angles")
-    _add_format(p_count)
-    p_count.set_defaults(func=cmd_count)
-
-    p_check = sub.add_parser("check", help="check one mountain-valley assignment")
-    p_check.add_argument("angles")
-    p_check.add_argument("--mv", required=True, help="labels such as MMVM")
-    p_check.add_argument(
+    angle_commands = {}
+    for name, help_text, func in (
+        ("analyze", "closure, parity, bounds, and count", cmd_count),
+        ("count", "count valid assignments", cmd_count),
+        ("check", "check one mountain-valley assignment", cmd_check),
+        ("enumerate", "list all valid assignments", cmd_enumerate),
+    ):
+        cmd = angle_commands[name] = sub.add_parser(name, help=help_text)
+        cmd.add_argument("angles", help='sector angles, e.g. "90,90,90,90"')
+        _add_format(cmd)
+        cmd.set_defaults(func=func)
+    angle_commands["check"].add_argument("--mv", required=True, help="labels such as MMVM")
+    angle_commands["check"].add_argument(
         "--oracle",
         action="store_true",
         help="force the exhaustive oracle even beyond its default size limit",
     )
-    _add_format(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_enum = sub.add_parser("enumerate", help="list all valid assignments")
-    p_enum.add_argument("angles")
-    p_enum.add_argument(
+    angle_commands["enumerate"].add_argument(
         "--fast",
         action="store_true",
         help="filter by crimp reduction instead of the exhaustive oracle",
     )
-    _add_format(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate)
 
     p_pattern = sub.add_parser("pattern", help="multi-vertex pattern tools")
     psub = p_pattern.add_subparsers(dest="pattern_command", required=True)
@@ -570,23 +535,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="recursion-vs-oracle corpus check")
     p_self.add_argument("--seed", type=int, default=20250810)
     p_self.add_argument("--per-size", type=int, default=6)
-    _add_format(p_self)
+    _add_format(p_self, text=_selftest_lines)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        report, violation = args.func(args)
+        if report is not None:
+            print(json.dumps(report, indent=2, sort_keys=True) if args.format == "json"
+                  else "\n".join(args.text(report)))
     except FlatFoldError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:  # a bug, but never a traceback: exit code 2
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
+    if violation is None:
+        return 0
+    print("internal invariant violation: %s" % violation, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from typing import Optional
 
@@ -208,15 +209,30 @@ def random_local_parity_assignment(
 ) -> Optional[MVAssignment]:
     """Random labels giving every interior vertex a local tally of +-2.
 
-    Backtracks over creases in a shuffled order; returns None if the pattern
-    admits no such labelling within the attempt budget.
+    Backtracks over the creases in breadth-first order of their first-reached
+    interior endpoint, from a random start in each component (creases with
+    none come last), so that a dead end is found and undone near where it
+    arose. Returns None if none turns up within ``attempts`` steps per crease.
     """
     n = len(p.creases)
     interior = p.interior_vertex_ids()
     vertex_of_crease = [[v for v in c if not p.vertices[v].on_boundary] for c in p.creases]
 
-    order = list(range(n))
-    rng.shuffle(order)
+    ranked: dict[int, None] = {}  # an ordered set of creases
+    reached: set[int] = set()
+    for start in rng.sample(interior, len(interior)):
+        if start in reached:
+            continue
+        reached.add(start)
+        queue = deque([start])
+        while queue:
+            for ci in p.incident_creases(queue.popleft()):
+                ranked.setdefault(ci)
+                for w in vertex_of_crease[ci]:
+                    if w not in reached:
+                        reached.add(w)
+                        queue.append(w)
+    order = list(ranked) + [ci for ci in range(n) if ci not in ranked]
     labels: list[Optional[MVLabel]] = [None] * n
     tally = {v: 0 for v in interior}
     remaining = {v: p.degree(v) for v in interior}

@@ -236,7 +236,8 @@ def oracle_is_valid(
     return find_stacking(v, mv) is not None
 
 
-def _all_assignments(m: int) -> Iterable[MVAssignment]:
+def all_assignments(m: int) -> Iterable[MVAssignment]:
+    """All 2^m labelings, in lexicographic M-before-V order."""
     for combo in itertools.product(tuple(MVLabel), repeat=m):
         yield MVAssignment(combo)
 
@@ -281,10 +282,10 @@ def oracle_count(
     if assignments is not None:
         pool: Iterable[MVAssignment] = assignments
     elif use_flip_symmetry:
-        pool = (mv for mv in _all_assignments(len(v)) if mv[0] is MVLabel.MOUNTAIN)
+        pool = (mv for mv in all_assignments(len(v)) if mv[0] is MVLabel.MOUNTAIN)
         scale = 2
     else:
-        pool = _all_assignments(len(v))
+        pool = all_assignments(len(v))
     return len(_accepted(v, pool, limit, maekawa_prefilter)) * scale
 
 
@@ -292,7 +293,7 @@ def enumerate_valid(
     v: AngleSequence, *, limit: int = DEFAULT_LIMIT, maekawa_prefilter: bool = True
 ) -> list[MVAssignment]:
     """All valid assignments, in lexicographic M-before-V order."""
-    return _accepted(v, _all_assignments(len(v)), limit, maekawa_prefilter)
+    return _accepted(v, all_assignments(len(v)), limit, maekawa_prefilter)
 
 
 def run_restricted_valid(

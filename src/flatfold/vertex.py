@@ -131,10 +131,10 @@ def crimp_validity(v: AngleSequence, mv: MVAssignment) -> bool:
 
     Finds a sector no larger than both neighbours whose bounding creases
     carry opposite labels, folds it away (merging the neighbours), and
-    repeats. Two base cases: two creases remain (valid iff both angles and
-    both labels agree) or all remaining sectors are equal (valid iff the
-    remaining tally is +-2). Scans for the first eligible sector in index
-    order; any eligible crimp preserves validity.
+    repeats. One base case: two creases remain, valid iff both angles and
+    both labels agree. No eligible sector left means invalid. Scans for the
+    first eligible sector in index order; any eligible crimp preserves
+    validity.
     """
     if not kawasaki(v):
         raise NotFlatFoldableError(
@@ -148,9 +148,6 @@ def crimp_validity(v: AngleSequence, mv: MVAssignment) -> bool:
         m = len(sectors)
         if m == 2:
             return sectors[0] == sectors[1] and labels[0] == labels[1]
-        if len(set(sectors)) == 1:
-            t = sum(1 if l is MVLabel.MOUNTAIN else -1 for l in labels)
-            return abs(t) == 2
         for i in range(m):
             if (
                 sectors[i - 1] >= sectors[i]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from flatfold import core
-from flatfold.cli import emit_svg, main, parse_angles, parse_pattern
+from flatfold.cli import build_parser, emit_svg, main, parse_angles, parse_pattern
 from flatfold.core import AngleSequence, CreasePattern, normalize_pattern
 from flatfold.errors import ParseError, PlanarityError, SchemaError
 from flatfold.pattern import curve_around_vertex
@@ -393,6 +393,31 @@ class TestCommands:
         assert first[0] == 0
         assert run_cli(capsys, *argv) == first
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "20,10,40,50,60,60,60,60"),
+            ("analyze", "20,10,40,50,60,60,60,60"),
+            ("check", "90,90,90,90", "--mv", "MMMV"),
+            ("enumerate", "100,80,80,100"),
+            ("enumerate", "--fast", "100,80,80,100"),
+            ("pattern", "check", "PATTERN"),
+            ("selftest", "--per-size", "1"),
+        ],
+        ids=["count", "analyze", "check", "enumerate", "enumerate-fast", "pattern-check",
+             "selftest"],
+    )
+    def test_commands_return_reports_that_main_renders(self, capsys, tmp_path, argv):
+        path = write_pattern(tmp_path, VALID_DOC)
+        argv = [path if a == "PATTERN" else a for a in argv]
+        args = build_parser().parse_args(argv)
+        report, violation = args.func(args)
+        assert violation is None
+        assert capsys.readouterr() == ("", "")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == json.loads(json.dumps(report))
+
     def test_pattern_svg(self, capsys, tmp_path):
         path = write_pattern(tmp_path, VALID_DOC)
         out_svg = tmp_path / "out.svg"
@@ -424,15 +449,33 @@ class TestCommands:
     def test_unexpected_exception_exits_two(self, capsys, monkeypatch):
         import flatfold.cli as climod
 
-        def broken(args):
+        def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(climod, "cmd_count", broken)
+        monkeypatch.setattr(climod.vxmod, "count_mv", broken)
         code, out, err = run_cli(capsys, "count", "90,90,90,90")
         assert code == 2
         assert out == ""
         assert err == "internal error: RuntimeError: boom\n"
         assert "Traceback" not in err
+
+    def test_check_flags_disagreement(self, capsys, monkeypatch):
+        import flatfold.cli as climod
+
+        real = climod.oracle.oracle_is_valid
+        monkeypatch.setattr(
+            climod.oracle, "oracle_is_valid", lambda *args, **kw: not real(*args, **kw)
+        )
+        code, out, err = run_cli(capsys, "check", "90,90,90,90", "--mv", "MMMV",
+                                 "--format", "json")
+        assert code == 2
+        report = json.loads(out)
+        assert set(report) == {
+            "command", "input", "assignment", "maekawa", "crimp_valid", "reason", "oracle"
+        }
+        assert report["crimp_valid"] is True
+        assert report["oracle"] == {"ran": True, "valid": False, "skipped": None}
+        assert err == "internal invariant violation: crimp reduction and the oracle disagree\n"
 
     def test_selftest_flags_disagreement(self, capsys, monkeypatch):
         import flatfold.cli as climod

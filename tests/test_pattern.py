@@ -265,6 +265,42 @@ class TestGeneralizedMaekawa:
         assert holds
         assert tally.up_vertices + tally.down_vertices == k
 
+    @staticmethod
+    def unit_grid(width, height, diagonals=False):
+        """Every unit grid segment of a width x height sheet as a crease, plus,
+        with ``diagonals``, the rising diagonal of every unit square; segments
+        with both ends on the border (the border itself, two corner
+        diagonals) are left out."""
+        index = {}
+        for x in range(width + 1):
+            for y in range(height + 1):
+                index[x, y] = len(index)
+
+        def on_border(x, y):
+            return x in (0, width) or y in (0, height)
+
+        steps = ((1, 0), (0, 1), (1, 1)) if diagonals else ((1, 0), (0, 1))
+        creases = [
+            (index[x, y], index[x + dx, y + dy])
+            for x, y in index
+            for dx, dy in steps
+            if (x + dx, y + dy) in index
+            and not (on_border(x, y) and on_border(x + dx, y + dy))
+        ]
+        corners = (index[0, 0], index[width, 0], index[width, height], index[0, height])
+        return CreasePattern.build(list(index), creases, boundary=corners)
+
+    @pytest.mark.parametrize(
+        "width, height, diagonals", [(120, 4, False), (350, 2, True)], ids=["120x4", "350x2-diag"]
+    )
+    def test_labels_long_grid_strips(self, width, height, diagonals):
+        p = self.unit_grid(width, height, diagonals)
+        for seed in range(5):
+            mv = random_local_parity_assignment(random.Random(seed), p)
+            assert mv is not None, seed
+            _tally, holds = generalized_maekawa(p.with_assignment(mv))
+            assert holds
+
 
 class TestStarTraceEquivalence:
     def test_identity_iff_closure_over_random_stars(self):

@@ -197,6 +197,18 @@ class TestCrimpValidity:
                 AngleSequence((90, 90, 90, 90)), MVAssignment.from_string("MMV")
             )
 
+    @pytest.mark.parametrize("total", [360, 300])
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+    def test_all_equal_sectors_accept_tally_two(self, m, total):
+        v = AngleSequence((Fraction(total, m),) * m)
+        accepted = 0
+        for combo in itertools.product(tuple(MVLabel), repeat=m):
+            mv = MVAssignment(combo)
+            valid = crimp_validity(v, mv)
+            assert valid == (abs(2 * mv.mountains - m) == 2), str(mv)
+            accepted += valid
+        assert accepted == count_mv(v).count
+
     @given(flat_sequences(max_n=3))
     @settings(max_examples=40)
     def test_accepted_assignments_satisfy_parity(self, seq):
