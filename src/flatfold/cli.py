@@ -261,7 +261,6 @@ def _input_block(v: AngleSequence) -> dict:
         "creases": len(v),
         "total": str(v.total),
         "kind": v.kind,
-        "exact": v.exact,
     }
 
 
@@ -380,8 +379,6 @@ def cmd_pattern_check(args) -> Result:
         traces[str(vid)] = {
             "creases_crossed": list(curve.crease_ids),
             "is_identity": result.is_identity,
-            "max_deviation": result.map.deviation_from_identity(),
-            "rotation_degrees": result.rotation_degrees,
             "reason": result.failure_reason,
         }
     report: dict[str, Any] = {
@@ -393,8 +390,8 @@ def cmd_pattern_check(args) -> Result:
         "local_kawasaki": {
             str(vid): {
                 "passes": chk.passes,
-                "exact": chk.exact,
-                "angles": list(chk.angles),
+                "exact": chk.angles is not None,
+                "angles": None if chk.angles is None else list(chk.angles),
             }
             for vid, chk in kaw.items()
         },

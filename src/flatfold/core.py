@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import PlanarityError, StructuralError
+from .errors import ExactnessError, PlanarityError, StructuralError
 
 Rational = Union[int, str, Fraction]
 Point = tuple[Fraction, Fraction]
@@ -43,20 +43,16 @@ class AngleSequence:
     """Consecutive sector angles around one interior vertex, in cyclic order.
 
     Index ``i`` is the sector between crease ``i`` and crease ``i + 1``; the
-    sector after the last crease wraps around to crease 0. ``exact`` is False
-    when the angles were recovered from coordinates that admit no rational
-    degree measure; counting operations refuse such sequences.
+    sector after the last crease wraps around to crease 0.
     """
 
     angles: tuple[Angle, ...]
-    exact: bool = True
 
     def __post_init__(self):
         coerced = tuple(a if isinstance(a, Angle) else Angle(a) for a in self.angles)
         if not coerced:
             raise ValueError("an angle sequence needs at least one sector")
         object.__setattr__(self, "angles", coerced)
-        object.__setattr__(self, "exact", bool(self.exact))
 
     def __len__(self) -> int:
         return len(self.angles)
@@ -84,11 +80,11 @@ class AngleSequence:
 
     def rotated(self, start: int) -> "AngleSequence":
         start %= len(self.angles)
-        return AngleSequence(self.angles[start:] + self.angles[:start], exact=self.exact)
+        return AngleSequence(self.angles[start:] + self.angles[:start])
 
     def mirrored(self) -> "AngleSequence":
         """The same vertex star read clockwise instead of counterclockwise."""
-        return AngleSequence(tuple(reversed(self.angles)), exact=self.exact)
+        return AngleSequence(tuple(reversed(self.angles)))
 
     def as_strings(self) -> list[str]:
         return [str(a) for a in self.angles]
@@ -326,12 +322,8 @@ class CreasePattern:
         return _assemble(**{**self.__dict__, "assignment": assignment})
 
     @functools.cached_property
-    def _geometry(self) -> tuple[list, list]:
+    def _geometry(self) -> tuple[list, list, int]:
         return _integer_geometry([v.point for v in self.vertices], self.boundary)
-
-    @functools.cached_property
-    def float_points(self) -> list[tuple[float, float]]:
-        return [(float(v.x), float(v.y)) for v in self.vertices]
 
     @functools.cached_property
     def _incidence(self) -> list[list[int]]:
@@ -371,14 +363,14 @@ def _border_edges(
     return [(pts[boundary[i]], pts[boundary[(i + 1) % m]]) for i in range(m)]
 
 
-def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[list, list]:
-    """The points scaled to integers, and which of them lie on the border. The
-    factor, twice the LCM of all denominators, is positive, so every predicate
-    keeps its value, and even, so crease midpoints stay integral."""
+def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[list, list, int]:
+    """The points scaled to integers, which of them lie on the border, and the
+    scale. The scale, twice the LCM of all denominators, is positive, so every
+    predicate keeps its value, and even, so crease midpoints stay integral."""
     scale = 2 * math.lcm(*(c.denominator for pt in pts for c in pt))
     ipts = [tuple(c.numerator * (scale // c.denominator) for c in pt) for pt in pts]
     bedges = _border_edges(ipts, boundary)
-    return ipts, [any(_on_segment(q, a, b) for a, b in bedges) for q in ipts]
+    return ipts, [any(_on_segment(q, a, b) for a, b in bedges) for q in ipts], scale
 
 
 def _midpoint(a: Point, b: Point) -> Point:
@@ -401,7 +393,7 @@ def _validate_pattern(p: CreasePattern) -> None:
     if len(set(p.boundary)) != len(p.boundary):
         raise StructuralError("border cycle repeats a vertex")
 
-    pts, flags = p._geometry
+    pts, flags, _ = p._geometry
     if len(set(pts)) != n:
         raise StructuralError("two vertices share the same coordinates")
 
@@ -599,9 +591,11 @@ def _direction_degrees_exact(d: tuple[Fraction, Fraction]) -> Optional[Fraction]
 def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
     """Consecutive sector angles between the creases at an interior vertex.
 
-    Exact when every incident crease direction is a multiple of 45 degrees;
-    otherwise the angles come from float arithmetic and the sequence is
-    flagged approximate. Either way the sectors sum to exactly 360.
+    Exact, and defined only when every incident crease runs at a multiple of
+    45 degrees (or the vertex has a single crease): no other direction with
+    rational coordinates has a rational degree measure, so any other vertex
+    raises `ExactnessError`. `pattern.reflection_trace` decides closure at
+    such a vertex exactly instead.
     """
     if not 0 <= v < len(p.vertices):
         raise StructuralError("vertex %d out of range" % v)
@@ -613,23 +607,16 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
     if not incident:
         raise StructuralError("vertex %d has no creases" % v)
     if len(incident) == 1:
-        return AngleSequence((Angle(360),), exact=True)
+        return AngleSequence((Angle(360),))
 
     thetas: list[Fraction] = []
-    exact = True
-    for _, d in incident:
+    for ci, d in incident:
         t = _direction_degrees_exact(d)
         if t is None:
-            exact = False
-            t = Fraction(math.degrees(math.atan2(float(d[1]), float(d[0]))) % 360.0)
+            raise ExactnessError(
+                "crease %d at vertex %d is not at a multiple of 45 degrees" % (ci, v)
+            )
         thetas.append(t)
-
-    sectors: list[Fraction] = [
-        thetas[i + 1] - thetas[i] for i in range(len(thetas) - 1)
-    ]
+    sectors = [thetas[i + 1] - thetas[i] for i in range(len(thetas) - 1)]
     sectors.append(FULL_TURN - thetas[-1] + thetas[0])
-    if any(s <= 0 for s in sectors):
-        raise StructuralError(
-            "sectors at vertex %d are too small to resolve in floating point" % v
-        )
-    return AngleSequence(tuple(Angle(s) for s in sectors), exact=exact)
+    return AngleSequence(tuple(Angle(s) for s in sectors))

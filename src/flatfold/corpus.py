@@ -92,37 +92,47 @@ def corpus_sequences(
 # --------------------------------------------------------------------------
 # single-vertex star patterns with prescribed angles
 
-_STAR_DIGITS = 10 ** 15
+# largest denominator of the rational half-angle tangents
+_STAR_DENOMINATOR = 10 ** 8
+
+
+def _unit_direction(theta: Fraction) -> tuple[Fraction, Fraction]:
+    """A rational point on the unit circle near ``theta`` degrees: exact at
+    multiples of 90, else from a rational tangent t of the half angle, as
+    ((1 - t^2) / (1 + t^2), 2t / (1 + t^2))."""
+    quarters, rest = divmod(theta, 90)
+    t = Fraction(math.tan(math.radians(rest) / 2)).limit_denominator(_STAR_DENOMINATOR)
+    x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    return [(x, y), (-y, x), (-x, -y), (y, -x)][int(quarters)]
 
 
 def star_pattern(v: AngleSequence) -> CreasePattern:
-    """A one-vertex pattern whose star approximates the given flat sequence.
+    """A one-vertex pattern whose star approximates the given flat sequence,
+    and closes exactly when the sequence does.
 
     Prescribed angles are generally not realizable over rational coordinates
-    (only 45-degree multiples are), so crease endpoints use 15-digit rational
-    approximations of the unit directions. The recovered star is flagged
-    approximate unless every direction happens to be a 45-degree multiple.
+    (only 45-degree multiples are), so creases end on rational points of the
+    unit circle near the prescribed directions. For a closing sequence the
+    last direction is instead the exact product -z0 conj(z1) z2 ... z(m-2) of
+    the others, read as unit complex numbers: that makes z0 conj(z1) ...
+    conj(z(m-1)) = -1, which is closure, with no tolerance.
     """
     if not v.is_flat:
         raise ValueError("star patterns are built on flat paper")
     theta = Fraction(0)
     directions = []
     for a in v.angles:
-        directions.append(theta)
+        directions.append(_unit_direction(theta))
         theta += a
+    if kawasaki(v):
+        x, y = -1, 0
+        for i, (dx, dy) in enumerate(directions[:-1]):
+            dy = dy if i % 2 == 0 else -dy
+            x, y = x * dx - y * dy, x * dy + y * dx
+        directions[-1] = (x, y)
     corners = [(-2, -2), (2, -2), (2, 2), (-2, 2)]
-    points: list[tuple[Fraction, Fraction]] = [
-        (Fraction(x), Fraction(y)) for x, y in corners
-    ]
-    center = (Fraction(0), Fraction(0))
-    points.append(center)
-    creases = []
-    for t in directions:
-        rad = math.radians(float(t))
-        x = Fraction(round(math.cos(rad) * _STAR_DIGITS), _STAR_DIGITS)
-        y = Fraction(round(math.sin(rad) * _STAR_DIGITS), _STAR_DIGITS)
-        points.append((x, y))
-        creases.append((4, len(points) - 1))
+    points = [(Fraction(x), Fraction(y)) for x, y in corners + [(0, 0)] + directions]
+    creases = [(4, 5 + i) for i in range(len(directions))]
     return CreasePattern.build(points, creases, boundary=(0, 1, 2, 3))
 
 

@@ -26,7 +26,7 @@ class ParityError(FlatFoldError):
 
 
 class ExactnessError(FlatFoldError):
-    """Exact rational angles were required but only approximate ones exist."""
+    """A sector angle was asked for that has no rational degree measure."""
 
 
 class NotFlatFoldableError(FlatFoldError):

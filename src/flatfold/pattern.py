@@ -5,16 +5,20 @@ closure test, every reflection-composition trace, and the global parity
 identity and still not fold flat. Deciding global flat-foldability is
 NP-hard and deliberately out of scope.
 
-Reflection maps use floating point: crease directions are generally
-irrational in any exact model. The identity tolerance of 1e-9 leaves about
-six orders of magnitude of headroom over double-precision composition error
-at the few-dozen-reflection depths used here.
+Every verdict is exact. A crease direction with rational coordinates has in
+general no rational degree measure, but the reflection across its line is a
+rational affine map, so reflection maps keep integer entries over one
+denominator and the identity test is an equality. Around a flat vertex the
+composition of the reflections across its creases is the identity exactly
+when the alternating sector sum is zero (Justin), which decides closure at
+vertices whose sector angles cannot be written down.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .core import (
@@ -25,47 +29,48 @@ from .core import (
     vertex_star,
     _orient,
 )
-from .errors import LocalMaekawaError, StructuralError
-from .vertex import alternating_sum, kawasaki
-
-IDENTITY_TOL = 1e-9
-# |alternating sum| below this counts as closure for float-derived stars
-APPROX_CLOSURE_TOL = 1e-9
+from .errors import ExactnessError, LocalMaekawaError, StructuralError
+from .vertex import kawasaki
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Affine isometry of the plane: x -> M x + t with M 2x2 orthogonal."""
+    """Affine isometry of the plane, x -> (M x + t) / den, with integer
+    entries and den > 0. Entries are not reduced, so two equal maps may be
+    written differently; `is_identity` compares against ``den``."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-    tx: float
-    ty: float
+    a: int
+    b: int
+    c: int
+    d: int
+    tx: int
+    ty: int
+    den: int
 
     @classmethod
     def identity(cls) -> "AffineMap":
-        return cls(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        return cls(1, 0, 0, 1, 0, 0, 1)
 
     @classmethod
-    def reflection_across(
-        cls, p: tuple[float, float], q: tuple[float, float]
-    ) -> "AffineMap":
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        norm = math.hypot(dx, dy)
-        if norm == 0.0:
-            raise StructuralError("cannot reflect across a zero-length crease")
-        ux, uy = dx / norm, dy / norm
-        a = ux * ux - uy * uy
-        b = 2.0 * ux * uy
-        # fixed point p:  t = p - M p
-        tx = p[0] - (a * p[0] + b * p[1])
-        ty = p[1] - (b * p[0] - a * p[1])
-        return cls(a, b, b, -a, tx, ty)
+    def reflection_across(cls, p: tuple[int, int], q: tuple[int, int]) -> "AffineMap":
+        """Reflection across the line through the integer points ``p`` and ``q``.
 
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        return (self.a * x + self.b * y + self.tx, self.c * x + self.d * y + self.ty)
+        For the line's primitive direction (dx, dy) and n = dx^2 + dy^2 the
+        linear part is (dx^2 - dy^2, 2 dx dy; 2 dx dy, dy^2 - dx^2) / n, with
+        no division; ``p`` is fixed.
+        """
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        if dx == dy == 0:
+            raise StructuralError("cannot reflect across a zero-length crease")
+        g = gcd(dx, dy)  # keeps n, and every product, small
+        dx, dy = dx // g, dy // g
+        n, a, b = dx * dx + dy * dy, dx * dx - dy * dy, 2 * dx * dy
+        return cls(a, b, b, -a, n * p[0] - (a * p[0] + b * p[1]),
+                   n * p[1] - (b * p[0] - a * p[1]), n)
+
+    def apply(self, x, y) -> tuple[Fraction, Fraction]:
+        return (Fraction(self.a * x + self.b * y + self.tx, self.den),
+                Fraction(self.c * x + self.d * y + self.ty, self.den))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other (matrix product self . other)."""
@@ -74,34 +79,40 @@ class AffineMap:
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-            self.a * other.tx + self.b * other.ty + self.tx,
-            self.c * other.tx + self.d * other.ty + self.ty,
+            self.a * other.tx + self.b * other.ty + other.den * self.tx,
+            self.c * other.tx + self.d * other.ty + other.den * self.ty,
+            self.den * other.den,
         )
 
     @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
+    def det(self) -> Fraction:
+        return Fraction(self.a * self.d - self.b * self.c, self.den * self.den)
 
-    def deviation_from_identity(self) -> float:
-        return max(
-            abs(self.a - 1.0),
-            abs(self.b),
-            abs(self.c),
-            abs(self.d - 1.0),
-            abs(self.tx),
-            abs(self.ty),
-        )
+    def is_identity(self) -> bool:
+        return (self.a == self.d == self.den
+                and self.b == self.c == self.tx == self.ty == 0)
 
-    def is_identity(self, tol: float = IDENTITY_TOL) -> bool:
-        return self.deviation_from_identity() <= tol
+
+def _scaled_reflection(p: CreasePattern, crease: int) -> AffineMap:
+    """The reflection across a crease's line, as a map of the pattern's plane
+    scaled to integers."""
+    if not 0 <= crease < len(p.creases):
+        raise StructuralError("crease %d out of range" % crease)
+    i, j = p.creases[crease]
+    ipts = p._geometry[0]
+    return AffineMap.reflection_across(ipts[i], ipts[j])
+
+
+def _unscaled(p: CreasePattern, m: AffineMap) -> AffineMap:
+    """A map of the pattern's integer-scaled plane as a map of its own
+    coordinates: X = s x turns X -> (M X + t) / den into (s M x + t) / (s den)."""
+    s = p._geometry[2]
+    return AffineMap(s * m.a, s * m.b, s * m.c, s * m.d, m.tx, m.ty, s * m.den)
 
 
 def reflection(p: CreasePattern, crease: int) -> AffineMap:
     """Reflection across the full line containing a crease segment."""
-    if not 0 <= crease < len(p.creases):
-        raise StructuralError("crease %d out of range" % crease)
-    i, j = p.creases[crease]
-    return AffineMap.reflection_across(p.float_points[i], p.float_points[j])
+    return _unscaled(p, _scaled_reflection(p, crease))
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,6 @@ class ClosedCurve:
 class TraceResult:
     map: AffineMap
     is_identity: bool
-    rotation_degrees: Optional[float] = None
     failure_reason: Optional[str] = None
 
 
@@ -131,20 +141,19 @@ def reflection_trace(p: CreasePattern, curve: ClosedCurve) -> TraceResult:
     if not curve.crease_ids:
         raise ValueError("the curve crosses no creases")
     composed = AffineMap.identity()
-    for cid in curve.crease_ids:
-        composed = composed.compose(reflection(p, cid))
+    for cid in curve.crease_ids:  # in the scaled plane: one factor s, not one per crease
+        composed = composed.compose(_scaled_reflection(p, cid))
+    composed = _unscaled(p, composed)
     if len(curve.crease_ids) % 2 != 0:
         return TraceResult(
             map=composed,
             is_identity=False,
             failure_reason="odd crossing count: the composition reverses orientation",
         )
-    rotation = math.degrees(math.atan2(composed.c, composed.a))
     identity = composed.is_identity()
     return TraceResult(
         map=composed,
         is_identity=identity,
-        rotation_degrees=0.0 if identity else rotation,
         failure_reason=None if identity else "composition is not the identity",
     )
 
@@ -168,33 +177,32 @@ def curve_around_vertex(p: CreasePattern, v: int) -> ClosedCurve:
 
 @dataclass(frozen=True)
 class VertexCheck:
+    """A closure verdict. ``angles`` is None when the vertex has a crease at
+    no multiple of 45 degrees: its sectors have no exact degree measure, and
+    the exact reflection trace around it gave the verdict instead."""
+
     passes: bool
-    exact: bool
-    angles: tuple[str, ...]
+    angles: Optional[tuple[str, ...]]
 
 
 def local_kawasaki_all(p: CreasePattern) -> dict[int, VertexCheck]:
-    """Per-interior-vertex closure report.
+    """Exact per-interior-vertex closure report.
 
-    Exact stars get the exact verdict; stars recovered through floats are
-    flagged approximate and judged against a small tolerance instead of
-    failing the whole report. Necessary only: every vertex passing does not
-    make the pattern foldable.
+    A vertex whose creases all run at multiples of 45 degrees is judged on
+    its star; any other by whether the reflection trace around it is the
+    identity, which is the same condition. Necessary only: every vertex
+    passing does not make the pattern foldable.
     """
     _require_normalized(p)
     report: dict[int, VertexCheck] = {}
     for v in p.interior_vertex_ids():
-        star = vertex_star(p, v)
-        if star.exact:
-            passes = kawasaki(star)
+        try:
+            star = vertex_star(p, v)
+        except ExactnessError:
+            trace = reflection_trace(p, curve_around_vertex(p, v))
+            report[v] = VertexCheck(passes=trace.is_identity, angles=None)
         else:
-            passes = (
-                len(star) % 2 == 0
-                and abs(float(alternating_sum(star))) <= APPROX_CLOSURE_TOL
-            )
-        report[v] = VertexCheck(
-            passes=passes, exact=star.exact, angles=tuple(star.as_strings())
-        )
+            report[v] = VertexCheck(passes=kawasaki(star), angles=tuple(star.as_strings()))
     return report
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from .core import AngleSequence, CountResult, MVAssignment, MVLabel, ReductionStep
-from .errors import ExactnessError, NotFlatFoldableError, ParityError
+from .errors import NotFlatFoldableError, ParityError
 
 
 def alternating_sum(v: AngleSequence) -> Fraction:
@@ -65,8 +65,6 @@ def find_runs(v: AngleSequence) -> list[RunCondition]:
     Wrap-around runs are reported with their true (cyclic) start index.
     Returns an empty list exactly when all sectors are equal.
     """
-    if not v.exact:
-        raise ExactnessError("run detection requires exact sector angles")
     m = len(v)
     vals = list(v.angles)
     starts = [i for i in range(m) if vals[i] != vals[i - 1]]
@@ -202,8 +200,6 @@ def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
     of the run times the count of the residual (which may be a cone). Every
     step is recorded in the trace. Exact integers throughout.
     """
-    if not v.exact:
-        raise ExactnessError("counting requires exact sector angles")
     if not kawasaki(v):
         raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
     limits = bounds(v)

@@ -84,6 +84,30 @@ NEAR_DOC = {
     "boundary": [0, 1, 2, 3],
 }
 
+# Sectors 90, 90, 90 + e, 90 - e: closure fails by 2e, far below any float
+# tolerance.
+NEAR_MISS_DOC = {
+    "vertices": [[-2, -2], [2, -2], [2, 2], [-2, 2], [0, 0], [1, 0], [0, 1], [-1, 0],
+                 ["1/1000000000000000", -1]],
+    "creases": [[4, 5], [4, 6], [4, 7], [4, 8]],
+    "boundary": [0, 1, 2, 3],
+}
+
+# Two creases about 10^-20 radians apart: a sector no float angle resolves.
+TINY_SECTOR_DOC = {
+    "vertices": [[-2, -2], [2, -2], [2, 2], [-2, 2], [0, 0], [1, 0], [1, "-1/%d" % 10**20]],
+    "creases": [[4, 5], [4, 6]],
+    "boundary": [0, 1, 2, 3],
+}
+
+# Directions (1,0), (3,4), (-1,0), (3,-4): sectors a, b, b, a with irrational
+# degree measures, and closure holds.
+PYTHAGOREAN_DOC = {
+    "vertices": [[-5, -5], [5, -5], [5, 5], [-5, 5], [0, 0], [1, 0], [3, 4], [-1, 0], [3, -4]],
+    "creases": [[4, 5], [4, 6], [4, 7], [4, 8]],
+    "boundary": [0, 1, 2, 3],
+}
+
 
 class TestParsePattern:
     def test_valid_document(self, tmp_path):
@@ -372,6 +396,32 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "pattern", "check", path, "--format", "json")
         assert code == 0
         assert json.loads(out)["reflection_traces"]["4"]["creases_crossed"] == [0]
+
+    @pytest.mark.parametrize(
+        "doc, passes",
+        [(NEAR_MISS_DOC, False), (TINY_SECTOR_DOC, False), (PYTHAGOREAN_DOC, True)],
+        ids=["near-miss", "tiny-sector", "pythagorean"],
+    )
+    def test_pattern_check_decides_non_45_degree_vertices_exactly(
+        self, capsys, tmp_path, doc, passes
+    ):
+        path = write_pattern(tmp_path, doc)
+        code, out, err = run_cli(capsys, "pattern", "check", path, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["local_kawasaki"]["4"] == {"passes": passes, "exact": False, "angles": None}
+        assert report["reflection_traces"]["4"]["is_identity"] is passes
+
+    def test_report_schema(self, capsys, tmp_path):
+        path = write_pattern(tmp_path, VALID_DOC)
+        _, out, _ = run_cli(capsys, "pattern", "check", path, "--format", "json")
+        report = json.loads(out)
+        assert report["local_kawasaki"]["4"] == {
+            "passes": True, "exact": True, "angles": ["90", "90", "90", "90"]
+        }
+        assert set(report["reflection_traces"]["4"]) == {"creases_crossed", "is_identity", "reason"}
+        _, out, _ = run_cli(capsys, "count", "90 90 90 90", "--format", "json")
+        assert set(json.loads(out)["input"]) == {"angles", "creases", "total", "kind"}
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,7 +15,7 @@ from flatfold.core import (
     normalize_pattern,
     vertex_star,
 )
-from flatfold.errors import PlanarityError, StructuralError
+from flatfold.errors import ExactnessError, PlanarityError, StructuralError
 
 
 def square(side=4):
@@ -97,11 +97,6 @@ class TestAngleSequence:
         assert AngleSequence((130, 200, 10, 20)) == seq.rotated(2)
         assert AngleSequence((200, 130, 20, 10)) == seq.mirrored()
         assert seq.rotated(4) == seq
-
-    def test_exact_flag_propagates(self):
-        seq = AngleSequence((10, 350), exact=False)
-        assert not seq.rotated(1).exact
-        assert not seq.mirrored().exact
 
 
 class TestMVAssignment:
@@ -255,9 +250,7 @@ class TestVertexStar:
         p = CreasePattern.build(
             pts, [(4, 5), (4, 6), (4, 7), (4, 8)], boundary=(0, 1, 2, 3)
         )
-        star = vertex_star(p, 4)
-        assert star == AngleSequence((90, 90, 90, 90))
-        assert star.exact
+        assert vertex_star(p, 4) == AngleSequence((90, 90, 90, 90))
 
     def test_degree_one_vertex(self):
         pts = square() + [(2, 2), (3, 2)]
@@ -276,18 +269,16 @@ class TestVertexStar:
         p = CreasePattern.build(
             pts, [(4, 0), (4, 1), (4, 2), (4, 3)], boundary=(0, 1, 2, 3)
         )
-        star = vertex_star(p, 4)
-        assert star.exact
-        assert star == AngleSequence((90, 90, 90, 90))
+        assert vertex_star(p, 4) == AngleSequence((90, 90, 90, 90))
 
     def test_irrational_directions_flagged_approximate(self):
         pts = square() + [(2, 2), (4, 3), (1, 4), (0, 1), (3, 0)]
         p = CreasePattern.build(
             pts, [(4, 5), (4, 6), (4, 7), (4, 8)], boundary=(0, 1, 2, 3)
         )
-        star = vertex_star(p, 4)
-        assert not star.exact
-        assert star.total == 360  # the flag marks the values, not the total
+        # (2, 1) has no rational degree measure: no star, and no float one
+        with pytest.raises(ExactnessError, match="crease 0 at vertex 4"):
+            vertex_star(p, 4)
 
     def test_split_vertex_star_is_straight(self):
         p = CreasePattern.build(

@@ -1,5 +1,7 @@
+import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -57,23 +59,27 @@ def two_vertex_pattern(shared, a_rest, b_rest):
 
 class TestReflection:
     def test_x_axis(self):
-        m = AffineMap.reflection_across((0.0, 0.0), (1.0, 0.0))
-        assert m.apply(3.0, 2.5) == pytest.approx((3.0, -2.5))
+        m = AffineMap.reflection_across((0, 0), (1, 0))
+        assert m.apply(3, Fraction(5, 2)) == (3, Fraction(-5, 2))
 
     def test_vertical_line_through_x_equals_one(self):
         pts = square() + [(1, 0), (1, 4)]
         p = CreasePattern.build(pts, [(4, 5)], boundary=(0, 1, 2, 3))
-        assert reflection(p, 0).apply(0.0, 1.0) == pytest.approx((2.0, 1.0))
-        assert reflection(p, 0).apply(5.0, -3.0) == pytest.approx((-3.0, -3.0))
+        assert reflection(p, 0).apply(0, 1) == (2, 1)
+        assert reflection(p, 0).apply(5, -3) == (-3, -3)
 
     def test_involution(self):
-        m = AffineMap.reflection_across((0.3, 1.7), (2.9, -0.4))
+        a, b = (Fraction(3, 10), Fraction(17, 10)), (Fraction(29, 10), Fraction(-2, 5))
+        p = CreasePattern.build([(-1, -1), (4, -1), (4, 3), (-1, 3), a, b], [(4, 5)],
+                                boundary=(0, 1, 2, 3))
+        m = reflection(p, 0)
         assert m.compose(m).is_identity()
-        assert m.det == pytest.approx(-1.0)
+        assert m.det == -1
+        assert m.apply(*a) == a and m.apply(*b) == b
 
     def test_degenerate_crease(self):
         with pytest.raises(StructuralError):
-            AffineMap.reflection_across((1.0, 1.0), (1.0, 1.0))
+            AffineMap.reflection_across((1, 1), (1, 1))
 
 
 class TestReflectionTrace:
@@ -93,7 +99,9 @@ class TestReflectionTrace:
         result = reflection_trace(p, curve_around_vertex(p, 4))
         assert not result.is_identity
         # alternate angles sum to 190, ten degrees past a half turn
-        assert abs(result.rotation_degrees) == pytest.approx(20.0, abs=1e-6)
+        m = result.map
+        rotation = math.degrees(math.atan2(m.c / m.den, m.a / m.den))
+        assert abs(rotation) == pytest.approx(20.0, abs=1e-6)
 
     def test_odd_crossing_count_fails_distinctly(self):
         p = cross_pattern()
@@ -161,13 +169,13 @@ class TestLocalKawasaki:
         bad = star_pattern(AngleSequence((100, 80, 90, 90)))
         report = local_kawasaki_all(bad)
         assert not report[4].passes
-        assert not report[4].exact  # 100/80 stars need float directions
+        assert report[4].angles is None  # 100/80 stars have no exact angles
 
-    def test_approximate_valid_star_passes_with_tolerance(self):
+    def test_non_45_degree_valid_star_passes_exactly(self):
         rng = random.Random(4)
         p = star_pattern(random_flat_sequence(rng, 6))
         report = local_kawasaki_all(p)
-        assert report[4].passes and not report[4].exact
+        assert report[4].passes and report[4].angles is None
 
     def test_split_vertex_passes_trivially(self):
         p = normalize_pattern(
@@ -317,12 +325,66 @@ class TestStarTraceEquivalence:
             assert result.is_identity == kawasaki(seq)
 
 
+def grid_pattern(rng, k):
+    """A normalized random pattern on the k x k unit grid: each grid edge off
+    the border with probability 1/2, and in each cell one diagonal, the other
+    or none. Every direction is a multiple of 45 degrees, and many vertices
+    fail closure."""
+    segs = []
+    for x in range(k):
+        for y in range(k):
+            if y > 0 and rng.random() < 0.5:
+                segs.append(((x, y), (x + 1, y)))
+            if x > 0 and rng.random() < 0.5:
+                segs.append(((x, y), (x, y + 1)))
+            style = rng.randrange(3)
+            if style == 1:
+                segs.append(((x, y), (x + 1, y + 1)))
+            elif style == 2:
+                segs.append(((x + 1, y), (x, y + 1)))
+    corners = [(0, 0), (k, 0), (k, k), (0, k)]
+    points = corners + sorted({q for seg in segs for q in seg} - set(corners))
+    index = {q: i for i, q in enumerate(points)}
+    creases = [(index[a], index[b]) for a, b in segs]
+    return normalize_pattern(CreasePattern.build(points, creases, boundary=(0, 1, 2, 3)))
+
+
+def rotated(p):
+    """``p`` turned by the rotation (3/5, 4/5): its coordinates stay rational,
+    but no crease direction stays a multiple of 45 degrees."""
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    points = [(c * v.x - s * v.y, s * v.x + c * v.y) for v in p.vertices]
+    return CreasePattern.build(points, p.creases, p.boundary, p.assignment, p.split_vertices)
+
+
+def test_rotation_keeps_every_verdict():
+    rng = random.Random(1729)
+    seen = set()
+    for i in range(60):
+        if i % 2 == 0:
+            p = chain_pattern(rng, rng.randint(1, 5), with_split=(i % 4 == 0))
+        else:
+            p = grid_pattern(rng, rng.randint(3, 5))
+        q = rotated(p)
+        before, after = local_kawasaki_all(p), local_kawasaki_all(q)
+        assert before.keys() == after.keys()
+        for v, chk in before.items():
+            trace = reflection_trace(p, curve_around_vertex(p, v)).is_identity
+            assert trace == chk.passes and chk.angles is not None
+            assert after[v].passes == chk.passes
+            assert reflection_trace(q, curve_around_vertex(q, v)).is_identity == trace
+            # the rotated star has no exact angles, so the trace decided it
+            assert (after[v].angles is None) == (q.degree(v) >= 2)
+            seen.add(chk.passes)
+    assert seen == {True, False}
+
+
 class TestNonSufficiency:
     def test_witness_passes_every_local_check(self, witness_pattern):
         p = witness_pattern
         report = local_kawasaki_all(p)
         assert len(report) == 3
-        assert all(chk.passes and chk.exact for chk in report.values())
+        assert all(chk.passes and chk.angles is not None for chk in report.values())
         for vid in p.interior_vertex_ids():
             assert reflection_trace(p, curve_around_vertex(p, vid)).is_identity
 

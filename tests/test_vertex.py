@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatfold.core import AngleSequence, MVAssignment, MVLabel
-from flatfold.errors import ExactnessError, NotFlatFoldableError, ParityError
+from flatfold.errors import NotFlatFoldableError, ParityError
 from flatfold.vertex import (
     RunCondition,
     alternating_sum,
@@ -130,10 +130,6 @@ class TestFindRuns:
     @given(flat_sequences())
     def test_matches_exhaustive_window_scan(self, seq):
         assert sorted((r.start, r.k) for r in find_runs(seq)) == brute_force_runs(seq)
-
-    def test_approximate_rejected(self):
-        with pytest.raises(ExactnessError):
-            find_runs(AngleSequence((90, 90, 90, 90), exact=False))
 
 
 class TestRunValidity:
@@ -262,10 +258,6 @@ class TestCountMV:
     def test_closure_failure_raises(self):
         with pytest.raises(NotFlatFoldableError):
             count_mv(AngleSequence((100, 80, 90, 90)))
-
-    def test_approximate_raises(self):
-        with pytest.raises(ExactnessError):
-            count_mv(AngleSequence((90, 90, 90, 90), exact=False))
 
     @given(flat_sequences())
     @settings(max_examples=60)
