@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -75,6 +76,19 @@ def parse_angles(text: str) -> AngleSequence:
         if value <= 0:
             raise ParseError("non-positive angle %r at position %d" % (tok, i + 1))
         angles.append(value)
+    # Refuse a star whose exact results may not print. A count is below
+    # 2^(m+1); a total or residual has a denominator dividing the LCM of the
+    # denominators and a numerator at most the total scaled by that LCM. A
+    # number of b bits has at most b * 0.30103 + 1 digits, as log10(2) < 0.30103.
+    den = math.lcm(*(a.denominator for a in angles))
+    scaled_total = sum(a.numerator * (den // a.denominator) for a in angles)
+    bits = max(len(angles) + 1, den.bit_length(), scaled_total.bit_length())
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # read, never set
+    if limit and bits * 30103 // 100000 + 1 > limit:
+        raise ParseError(
+            "exact results for this star could exceed %d decimal digits, the "
+            "interpreter's limit for printing an integer" % limit
+        )
     return AngleSequence(tuple(angles))
 
 
@@ -345,10 +359,19 @@ def cmd_check(args) -> Result:
     return report, "crimp reduction and the oracle disagree" if disagree else None
 
 
+# `enumerate --fast` filters all 2^m labelings through crimping
+FAST_ENUMERATE_LIMIT = 16
+
+
 def cmd_enumerate(args) -> Result:
     v = parse_angles(args.angles)
     report: dict[str, Any] = {"command": "enumerate", "input": _input_block(v)}
     if args.fast:
+        if len(v) > FAST_ENUMERATE_LIMIT:
+            raise CapacityError(
+                "%d creases exceed the crimp-filter limit of %d"
+                % (len(v), FAST_ENUMERATE_LIMIT)
+            )
         report["method"] = "crimp-filter"
         try:
             valid = [
@@ -363,6 +386,8 @@ def cmd_enumerate(args) -> Result:
         try:
             valid = [str(mv) for mv in oracle.enumerate_valid(v)]
         except CapacityError as exc:
+            if len(v) > FAST_ENUMERATE_LIMIT:
+                raise
             raise ParseError("%s (rerun with --fast)" % exc) from None
     report["valid_assignments"] = valid
     report["count"] = len(valid)
@@ -372,15 +397,6 @@ def cmd_enumerate(args) -> Result:
 def cmd_pattern_check(args) -> Result:
     p = parse_pattern(args.file)
     kaw = patmod.local_kawasaki_all(p)
-    traces = {}
-    for vid in p.interior_vertex_ids():
-        curve = patmod.curve_around_vertex(p, vid)
-        result = patmod.reflection_trace(p, curve)
-        traces[str(vid)] = {
-            "creases_crossed": list(curve.crease_ids),
-            "is_identity": result.is_identity,
-            "reason": result.failure_reason,
-        }
     report: dict[str, Any] = {
         "command": "pattern-check",
         "vertices": len(p.vertices),
@@ -395,7 +411,14 @@ def cmd_pattern_check(args) -> Result:
             }
             for vid, chk in kaw.items()
         },
-        "reflection_traces": traces,
+        "reflection_traces": {
+            str(vid): {
+                "creases_crossed": list(chk.curve.crease_ids),
+                "is_identity": chk.trace.is_identity,
+                "reason": chk.trace.failure_reason,
+            }
+            for vid, chk in kaw.items()
+        },
         "scope": _NECESSARY_ONLY,
     }
     if p.assignment is None:

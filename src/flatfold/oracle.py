@@ -13,6 +13,11 @@ for one that satisfies the three layer constraints:
 
 Overlap is measured on open intervals: creases have no width, so touching
 at an endpoint never conflicts. Everything is exact; no tolerances.
+
+`enumerate_valid`, the one enumeration routine, folds the vertex once and
+searches stackings per assignment, up to `DEFAULT_LIMIT` sectors; only
+`oracle_is_valid` takes a higher limit. Layer constraints alone decide: the
+oracle is the ground truth that crimping and the recursion are checked by.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ class LayerModel:
     face of the paper sector j shows (+1 for sector 0's face).
     """
 
-    angles: AngleSequence
     directions: tuple[Fraction, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
     orientations: tuple[int, ...]
@@ -66,9 +70,7 @@ def fold_directions(v: AngleSequence) -> LayerModel:
         (min(pos[j], pos[j + 1]), max(pos[j], pos[j + 1])) for j in range(m)
     )
     orientations = tuple(1 if j % 2 == 0 else -1 for j in range(m))
-    return LayerModel(
-        angles=v, directions=directions, intervals=intervals, orientations=orientations
-    )
+    return LayerModel(directions, intervals, orientations)
 
 
 def _cyclic_net(model: LayerModel, mv: MVAssignment) -> tuple[list[_Sheet], list[_Fold]]:
@@ -106,10 +108,6 @@ def stacking_valid(
     level = [0] * m
     for lvl, s in enumerate(stacking):
         level[s] = lvl
-    return _layers_ok(sheets, folds, level)
-
-
-def _layers_ok(sheets: list[_Sheet], folds: list[_Fold], level: Sequence[int]) -> bool:
     for fold in folds:
         left, right = fold[0], fold[1]
         if _fold_wants_right_above(sheets, fold) != (level[right] > level[left]):
@@ -193,19 +191,20 @@ def _search(sheets: list[_Sheet], folds: list[_Fold]) -> Optional[list[int]]:
             order.pop(t)
         return None
 
-    if n == 1:
-        return [0] if not folds else None
     return rec(1)
 
 
-def find_stacking(v: AngleSequence, mv: MVAssignment) -> Optional[tuple[int, ...]]:
-    """A witness stacking for the assignment, or None if there is none."""
-    model = fold_directions(v)
+def _find_stacking(model: LayerModel, mv: MVAssignment) -> Optional[tuple[int, ...]]:
     found = _search(*_cyclic_net(model, mv))
     if found is None:
         return None
     assert stacking_valid(model, mv, found)
     return tuple(found)
+
+
+def find_stacking(v: AngleSequence, mv: MVAssignment) -> Optional[tuple[int, ...]]:
+    """A witness stacking for the assignment, or None if there is none."""
+    return _find_stacking(fold_directions(v), mv)
 
 
 def _within_one_turn(v: AngleSequence) -> None:
@@ -242,66 +241,37 @@ def all_assignments(m: int) -> Iterable[MVAssignment]:
         yield MVAssignment(combo)
 
 
-def _accepted(
-    v: AngleSequence,
-    pool: Iterable[MVAssignment],
-    limit: int,
-    maekawa_prefilter: bool,
-) -> list[MVAssignment]:
-    """The assignments of ``pool`` the oracle accepts, in pool order."""
-    _guard(v, limit)
+def enumerate_valid(v: AngleSequence) -> list[MVAssignment]:
+    """All valid assignments, in lexicographic M-before-V order.
+
+    Two facts of every flat fold cut the search. Turning the paper over
+    flips every label, so only assignments starting with a mountain are
+    searched and each accepted one brings its flip along. Maekawa's theorem,
+    |M - V| = 2, rules out every other assignment without a layer search.
+    """
+    _guard(v, DEFAULT_LIMIT)
     if not kawasaki(v):
         return []
-    out = []
-    for mv in pool:
-        if len(mv) != len(v):
-            raise ValueError("assignment length must match the number of creases")
-        if maekawa_prefilter and not maekawa_check(mv):
-            continue
-        if find_stacking(v, mv) is not None:
-            out.append(mv)
-    return out
+    model = fold_directions(v)
+    accepted = []
+    for mv in all_assignments(len(v)):
+        if mv[0] is MVLabel.VALLEY:
+            break
+        if maekawa_check(mv) and _find_stacking(model, mv) is not None:
+            accepted.append(mv)
+    # flipping every label reverses lexicographic order
+    return accepted + [mv.flipped() for mv in reversed(accepted)]
 
 
-def oracle_count(
-    v: AngleSequence,
-    *,
-    limit: int = DEFAULT_LIMIT,
-    maekawa_prefilter: bool = True,
-    use_flip_symmetry: bool = True,
-    assignments: Optional[Iterable[MVAssignment]] = None,
-) -> int:
-    """Number of assignments the oracle accepts, over all 2^m by default.
-
-    ``assignments`` restricts the enumeration to a subset (disjoint subsets
-    can be counted concurrently and summed). ``use_flip_symmetry`` halves the
-    work using the turn-the-paper-over bijection: an assignment folds flat
-    exactly when its label-for-label flip does.
-    """
-    scale = 1
-    if assignments is not None:
-        pool: Iterable[MVAssignment] = assignments
-    elif use_flip_symmetry:
-        pool = (mv for mv in all_assignments(len(v)) if mv[0] is MVLabel.MOUNTAIN)
-        scale = 2
-    else:
-        pool = all_assignments(len(v))
-    return len(_accepted(v, pool, limit, maekawa_prefilter)) * scale
-
-
-def enumerate_valid(
-    v: AngleSequence, *, limit: int = DEFAULT_LIMIT, maekawa_prefilter: bool = True
-) -> list[MVAssignment]:
-    """All valid assignments, in lexicographic M-before-V order."""
-    return _accepted(v, all_assignments(len(v)), limit, maekawa_prefilter)
+def oracle_count(v: AngleSequence) -> int:
+    """Number of valid assignments: the length of `enumerate_valid`."""
+    return len(enumerate_valid(v))
 
 
 def run_restricted_valid(
     v: AngleSequence,
     run: RunCondition,
     labels: Union[MVAssignment, Sequence[MVLabel]],
-    *,
-    limit: int = DEFAULT_LIMIT,
 ) -> bool:
     """Fold only the creases of a maximal equal-angle run, leaving the rest
     of the paper as an unfolded cone, and ask whether the labels work.
@@ -312,9 +282,10 @@ def run_restricted_valid(
     away from the flat layers, so it imposes no ordering of its own.
     """
     _within_one_turn(v)
-    if run.k + 2 > limit:
+    if run.k + 2 > DEFAULT_LIMIT:
         raise CapacityError(
-            "%d creases exceed the exhaustive-search limit of %d" % (run.k + 2, limit)
+            "%d creases exceed the exhaustive-search limit of %d"
+            % (run.k + 2, DEFAULT_LIMIT)
         )
     m = len(v)
     val = Fraction(v.cyclic(run.start))

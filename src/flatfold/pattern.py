@@ -177,32 +177,36 @@ def curve_around_vertex(p: CreasePattern, v: int) -> ClosedCurve:
 
 @dataclass(frozen=True)
 class VertexCheck:
-    """A closure verdict. ``angles`` is None when the vertex has a crease at
-    no multiple of 45 degrees: its sectors have no exact degree measure, and
-    the exact reflection trace around it gave the verdict instead."""
+    """A closure verdict and the reflection trace around the vertex.
+    ``angles`` is None when the vertex has a crease at no multiple of 45
+    degrees: its sectors have no exact degree measure, and the trace gave
+    the verdict instead."""
 
     passes: bool
     angles: Optional[tuple[str, ...]]
+    curve: ClosedCurve
+    trace: TraceResult
 
 
 def local_kawasaki_all(p: CreasePattern) -> dict[int, VertexCheck]:
     """Exact per-interior-vertex closure report.
 
-    A vertex whose creases all run at multiples of 45 degrees is judged on
-    its star; any other by whether the reflection trace around it is the
-    identity, which is the same condition. Necessary only: every vertex
-    passing does not make the pattern foldable.
+    Each vertex is traced once. A vertex whose creases all run at multiples
+    of 45 degrees is judged on its star; any other by whether its reflection
+    trace is the identity, which is the same condition. Necessary only:
+    every vertex passing does not make the pattern foldable.
     """
     _require_normalized(p)
     report: dict[int, VertexCheck] = {}
     for v in p.interior_vertex_ids():
+        curve = curve_around_vertex(p, v)
+        trace = reflection_trace(p, curve)
         try:
             star = vertex_star(p, v)
         except ExactnessError:
-            trace = reflection_trace(p, curve_around_vertex(p, v))
-            report[v] = VertexCheck(passes=trace.is_identity, angles=None)
+            report[v] = VertexCheck(trace.is_identity, None, curve, trace)
         else:
-            report[v] = VertexCheck(passes=kawasaki(star), angles=tuple(star.as_strings()))
+            report[v] = VertexCheck(kawasaki(star), tuple(star.as_strings()), curve, trace)
     return report
 
 

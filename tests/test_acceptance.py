@@ -18,7 +18,7 @@ from flatfold.corpus import (
     random_nonclosing_sequence,
     star_pattern,
 )
-from flatfold.oracle import enumerate_valid, oracle_count, run_restricted_valid
+from flatfold.oracle import find_stacking, oracle_count, run_restricted_valid
 from flatfold.pattern import (
     curve_around_vertex,
     generalized_maekawa,
@@ -107,10 +107,14 @@ def test_criterion_06_run_condition_equivalence(corpus200):
 
 
 def test_criterion_07_parity_necessity(corpus200):
-    with criterion(7, "every oracle-valid assignment has M-V = +-2; odd stars never close"):
+    with criterion(7, "no assignment with M-V != +-2 has a stacking; odd stars never close"):
         for seq in corpus200:
-            for mv in enumerate_valid(seq, maekawa_prefilter=False):
-                assert abs(mv.tally) == 2
+            if not kawasaki(seq):
+                continue
+            for combo in itertools.product(tuple(MVLabel), repeat=len(seq)):
+                mv = MVAssignment(combo)
+                if abs(mv.tally) != 2:
+                    assert find_stacking(seq, mv) is None, (seq.as_strings(), str(mv))
         rng = random.Random(12)
         for _ in range(200):
             m = rng.choice((3, 5, 7, 9))

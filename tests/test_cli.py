@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -495,6 +497,41 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        reason="the budget follows the interpreter's digit limit, 4300 by default",
+    )
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            (" ".join(["1/40"] * 14400), 1),  # a count of more than 4300 digits
+            (" ".join("1/%d" % (10**97 + k) for k in range(60)), 1),  # such a total
+            (" ".join(["180/7141"] * 14282), 0),  # the most equal sectors counted
+        ],
+        ids=["14400-sectors", "60-huge-denominators", "14282-sectors"],
+    )
+    def test_digit_budget(self, capsys, text, code):
+        got, out, err = run_cli(capsys, "count", text, "--format", "json")
+        assert got == code
+        assert "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["count"]["value"] > 2**14000
+        else:
+            assert out == ""
+            assert err.startswith("error: exact results for this star could exceed")
+
+    def test_enumerate_fast_budget(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate", "--fast", " ".join(["15"] * 24))
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: 24 creases exceed the crimp-filter limit of 16\n"
+        # the oracle's refusal suggests --fast only where --fast would run
+        for m, hint in ((12, " (rerun with --fast)"), (24, "")):
+            code, _, err = run_cli(capsys, "enumerate", " ".join(["15"] * m))
+            limit = "%d sectors exceed the exhaustive-search limit of 10" % m
+            assert (code, err) == (1, "error: %s%s\n" % (limit, hint))
 
     def test_unexpected_exception_exits_two(self, capsys, monkeypatch):
         import flatfold.cli as climod

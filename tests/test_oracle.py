@@ -13,7 +13,7 @@ from flatfold.oracle import (
     run_restricted_valid,
     stacking_valid,
 )
-from flatfold.vertex import count_mv, crimp_validity, find_runs, run_validity
+from flatfold.vertex import count_mv, crimp_validity, find_runs, kawasaki, run_validity
 
 SQUARE = AngleSequence((90, 90, 90, 90))
 MIRROR = AngleSequence((100, 80, 80, 100))
@@ -21,6 +21,14 @@ MIRROR = AngleSequence((100, 80, 80, 100))
 
 def all_assignments(m):
     return [MVAssignment(c) for c in itertools.product(tuple(MVLabel), repeat=m)]
+
+
+def brute_force_valid(seq):
+    """Reference enumeration: a layer search on every one of the 2^m
+    labelings, in lexicographic order, with no Maekawa filter and no flip."""
+    if not kawasaki(seq):
+        return []
+    return [mv for mv in all_assignments(len(seq)) if find_stacking(seq, mv) is not None]
 
 
 class TestFoldDirections:
@@ -123,19 +131,11 @@ class TestOracleCount:
         assert oracle_count(AngleSequence((100, 80, 90, 90))) == 0
 
     def test_prefilter_and_flip_do_not_change_the_count(self, corpus_small):
-        for seq in corpus_small:
-            reference = oracle_count(seq, maekawa_prefilter=False, use_flip_symmetry=False)
-            assert oracle_count(seq) == reference
-            assert oracle_count(seq, use_flip_symmetry=False) == reference
-            assert oracle_count(seq, maekawa_prefilter=False) == reference
-
-    def test_partitioned_counts_merge_by_summation(self):
-        pool = all_assignments(len(MIRROR))
-        half = len(pool) // 2
-        total = oracle_count(MIRROR, assignments=pool[:half]) + oracle_count(
-            MIRROR, assignments=pool[half:]
-        )
-        assert total == oracle_count(MIRROR) == 6
+        equal_stars = [AngleSequence((a,) * m) for a, m in ((45, 8), (36, 10), (50, 6), (40, 8))]
+        for seq in list(corpus_small) + equal_stars:
+            reference = brute_force_valid(seq)
+            assert enumerate_valid(seq) == reference, seq.as_strings()
+            assert oracle_count(seq) == len(reference)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -151,8 +151,21 @@ class TestEnumerate:
 
     def test_every_valid_assignment_obeys_parity(self, corpus_small):
         for seq in corpus_small:
-            for mv in enumerate_valid(seq, maekawa_prefilter=False):
+            for mv in brute_force_valid(seq):
                 assert abs(mv.tally) == 2
+
+    def test_folds_the_vertex_once(self, monkeypatch):
+        import flatfold.oracle as oracle_module
+
+        calls = []
+        real = oracle_module.fold_directions
+        monkeypatch.setattr(
+            oracle_module, "fold_directions", lambda v: calls.append(v) or real(v)
+        )
+        for seq in (SQUARE, AngleSequence((20, 10, 40, 50, 60, 60, 60, 60))):
+            calls.clear()
+            assert enumerate_valid(seq)
+            assert calls == [seq]
 
     def test_flip_closure(self, corpus_small):
         for seq in corpus_small:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatfold.cli import main
 from flatfold.core import (
     AngleSequence,
     CreasePattern,
@@ -377,6 +379,27 @@ def test_rotation_keeps_every_verdict():
             assert (after[v].angles is None) == (q.degree(v) >= 2)
             seen.add(chk.passes)
     assert seen == {True, False}
+
+
+def test_pattern_check_traces_each_vertex_once(tmp_path, monkeypatch, capsys):
+    import flatfold.pattern as patmod
+
+    q = rotated(grid_pattern(random.Random(3), 8))  # 115 creases, 49 interior vertices
+    doc = {
+        "vertices": [[str(v.x), str(v.y)] for v in q.vertices],
+        "creases": [list(c) for c in q.creases],
+        "boundary": list(q.boundary),
+    }
+    path = tmp_path / "rotated-grid.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    real = patmod.reflection_trace
+    monkeypatch.setattr(
+        patmod, "reflection_trace", lambda p, curve: calls.append(curve) or real(p, curve)
+    )
+    assert main(["pattern", "check", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == len(report["reflection_traces"]) == 49
 
 
 class TestNonSufficiency:
