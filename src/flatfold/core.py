@@ -89,6 +89,18 @@ class AngleSequence:
     def as_strings(self) -> list[str]:
         return [str(a) for a in self.angles]
 
+    @functools.cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """The sectors as integers over one denominator, computed once.
+
+        Returns ``(ints, den)``: ``den`` is the LCM of the denominators and
+        ``ints[i] == angles[i] * den``. Sums, differences, order and equality
+        of sectors are exact on ``ints``, so the counting recursion and
+        crimping run on them.
+        """
+        den = math.lcm(*(a.denominator for a in self.angles))
+        return tuple(a.numerator * (den // a.denominator) for a in self.angles), den
+
 
 class MVLabel(str, Enum):
     MOUNTAIN = "M"
@@ -164,13 +176,21 @@ class ReductionStep:
 
     ``start`` indexes the reduced run in the sequence the step was applied
     to, ``length`` is the number of equal sectors it removed, ``factor`` the
-    multiplicative contribution, and ``residual`` what was left afterwards.
+    multiplicative contribution, and ``residual`` what was left afterwards,
+    kept as ``scaled_residual``: integers over the input star's ``den``
+    (see `AngleSequence.scaled`).
     """
 
     start: int
     length: int
     factor: int
-    residual: AngleSequence
+    scaled_residual: tuple[int, ...]
+    den: int
+
+    @property
+    def residual(self) -> AngleSequence:
+        """The residual star, built on demand."""
+        return AngleSequence(tuple(Fraction(n, self.den) for n in self.scaled_residual))
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,21 @@
 All operations are pure functions of immutable inputs and work for a vertex
 on flat paper or at the apex of a cone; the closure test and the parity rule
 never use the fact that the sectors sum to a full turn.
+
+The closure test, the counting recursion and crimping only add, subtract and
+compare sectors, so they run on the star's integer view
+(`AngleSequence.scaled`): every sector times the LCM of the denominators.
+That keeps every equality, order and closure test exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb
+from operator import ne
+from typing import NamedTuple, Sequence
 
 from .core import AngleSequence, CountResult, MVAssignment, MVLabel, ReductionStep
 from .errors import NotFlatFoldableError, ParityError
@@ -24,6 +32,10 @@ def alternating_sum(v: AngleSequence) -> Fraction:
     return sum(v.angles[0::2]) - sum(v.angles[1::2])
 
 
+def _closes(ints: Sequence[int]) -> bool:
+    return len(ints) % 2 == 0 and sum(ints[0::2]) == sum(ints[1::2])
+
+
 def kawasaki(v: AngleSequence) -> bool:
     """Closure test: even degree and alternating sector sum zero.
 
@@ -31,7 +43,7 @@ def kawasaki(v: AngleSequence) -> bool:
     on flat paper and on cones alike. Odd degree returns False rather than
     raising: a flat-foldable vertex always has even degree.
     """
-    return len(v) % 2 == 0 and alternating_sum(v) == 0
+    return _closes(v.scaled[0])
 
 
 def maekawa_check(mv: MVAssignment) -> bool:
@@ -59,6 +71,26 @@ class RunCondition:
         return self.k + 1
 
 
+class _Run(NamedTuple):
+    """Sectors ``start .. start + k`` (cyclic) of an integer sector list."""
+
+    start: int
+    k: int
+
+
+def _runs(vals: Sequence[int]) -> list[_Run]:
+    """The maximal equal runs of ``vals`` whose cyclic neighbours are
+    strictly larger, by start index; empty exactly when all are equal."""
+    m = len(vals)
+    starts = list(compress(range(m), map(ne, vals, vals[-1:] + vals[:-1])))
+    runs = []
+    for s, nxt in zip(starts, starts[1:] + starts[:1]):
+        val = vals[s]
+        if vals[s - 1] > val and vals[nxt] > val:
+            runs.append(_Run(s, (nxt - s) % m - 1))
+    return runs
+
+
 def find_runs(v: AngleSequence) -> list[RunCondition]:
     """All maximal equal-angle runs whose cyclic neighbours are strictly larger.
 
@@ -66,26 +98,15 @@ def find_runs(v: AngleSequence) -> list[RunCondition]:
     Returns an empty list exactly when all sectors are equal.
     """
     m = len(v)
-    vals = list(v.angles)
-    starts = [i for i in range(m) if vals[i] != vals[i - 1]]
-    if not starts:
-        return []
-    runs = []
-    for s_idx, s in enumerate(starts):
-        nxt = starts[(s_idx + 1) % len(starts)]
-        length = (nxt - s) % m
-        val = vals[s]
-        if vals[s - 1] > val and vals[nxt] > val:
-            k = length - 1
-            runs.append(
-                RunCondition(
-                    start=s,
-                    k=k,
-                    creases=tuple((s + j) % m for j in range(k + 2)),
-                    allowed_tallies=frozenset({0}) if k % 2 == 0 else frozenset({-1, 1}),
-                )
-            )
-    return runs
+    return [
+        RunCondition(
+            start=s,
+            k=k,
+            creases=tuple((s + j) % m for j in range(k + 2)),
+            allowed_tallies=frozenset({0}) if k % 2 == 0 else frozenset({-1, 1}),
+        )
+        for s, k in _runs(v.scaled[0])
+    ]
 
 
 def _check_run_against(v: AngleSequence, run: RunCondition) -> None:
@@ -132,15 +153,17 @@ def crimp_validity(v: AngleSequence, mv: MVAssignment) -> bool:
     repeats. One base case: two creases remain, valid iff both angles and
     both labels agree. No eligible sector left means invalid. Scans for the
     first eligible sector in index order; any eligible crimp preserves
-    validity.
+    validity. Works on `AngleSequence.scaled`, which a star computes once for
+    all the assignments it is asked about.
     """
-    if not kawasaki(v):
+    ints = v.scaled[0]
+    if not _closes(ints):
         raise NotFlatFoldableError(
             "closure fails, so no assignment folds this vertex flat"
         )
     if len(mv) != len(v):
         raise ValueError("assignment length must match the number of creases")
-    sectors = list(v.angles)
+    sectors = list(ints)
     labels = list(mv.labels)
     while True:
         m = len(sectors)
@@ -174,20 +197,9 @@ def bounds(v: AngleSequence) -> tuple[int, int]:
     return (2 ** n, 2 * comb(m, n - 1))
 
 
-def _default_pick(seq: AngleSequence, runs: list[RunCondition]) -> RunCondition:
+def _default_pick(seq: list[int], runs: list[_Run]) -> _Run:
     # smallest angle first, then smallest start index: deterministic traces
     return min(runs, key=lambda r: (seq[r.start], r.start))
-
-
-def _reduce_once(seq: AngleSequence, run: RunCondition) -> AngleSequence:
-    """Apply one run reduction, rotating first so the run is contiguous."""
-    rot = seq.rotated(run.start - 1)
-    s = list(rot.angles)
-    if run.k % 2 == 0:
-        residual = [s[0] - s[1] + s[run.k + 2]] + s[run.k + 3 :]
-    else:
-        residual = [s[0]] + s[run.k + 2 :]
-    return AngleSequence(tuple(residual))
 
 
 def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
@@ -198,30 +210,37 @@ def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
     merging its neighbours when the run has an odd number of sectors,
     deleting it outright when even -- and the count is the binomial factor
     of the run times the count of the residual (which may be a cone). Every
-    step is recorded in the trace. Exact integers throughout.
+    step is recorded in the trace. Exact integers throughout: the recursion
+    reduces the star's scaled integer sectors, and each step keeps its
+    residual as integers over the star's denominator.
     """
-    if not kawasaki(v):
+    ints, den = v.scaled
+    if not _closes(ints):
         raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
     limits = bounds(v)
-    current = v
+    current = list(ints)
     product = 1
     trace: list[ReductionStep] = []
     while True:
-        runs = find_runs(current)
+        runs = _runs(current)
         if not runs:  # all sectors equal
             m = len(current)
             base = 2 * comb(m, m // 2 - 1)
             break
-        run = _pick(current, runs)
-        if run.k % 2 == 0:
-            factor = comb(run.k + 2, (run.k + 2) // 2)
+        start, k = _pick(current, runs)
+        if k % 2 == 0:
+            factor = comb(k + 2, (k + 2) // 2)
         else:
-            factor = comb(run.k + 2, (run.k + 1) // 2)
-        residual = _reduce_once(current, run)
-        assert kawasaki(residual), "reduction must preserve closure"
-        trace.append(
-            ReductionStep(start=run.start, length=run.k + 1, factor=factor, residual=residual)
-        )
+            factor = comb(k + 2, (k + 1) // 2)
+        # rotate the run's left neighbour to index 0, so the run is s[1 .. k + 1]
+        rot = (start - 1) % len(current)
+        s = current[rot:] + current[:rot]
+        if k % 2 == 0:
+            residual = [s[0] - s[1] + s[k + 2]] + s[k + 3 :]
+        else:
+            residual = [s[0]] + s[k + 2 :]
+        assert _closes(residual), "reduction must preserve closure"
+        trace.append(ReductionStep(start, k + 1, factor, tuple(residual), den))
         product *= factor
         current = residual
     return CountResult(count=product * base, base=base, trace=tuple(trace), bounds=limits)

@@ -533,6 +533,33 @@ class TestCommands:
             limit = "%d sectors exceed the exhaustive-search limit of 10" % m
             assert (code, err) == (1, "error: %s%s\n" % (limit, hint))
 
+    @pytest.mark.parametrize(
+        "per_size, message",
+        [
+            ("-1", "error: --per-size must be at least 0, got -1\n"),
+            ("201", "error: --per-size 201 exceeds the limit of 200\n"),
+        ],
+        ids=["negative", "above-limit"],
+    )
+    def test_selftest_per_size_budget(self, capsys, per_size, message):
+        started = time.perf_counter()
+        assert run_cli(capsys, "selftest", "--per-size", per_size) == (1, "", message)
+        assert time.perf_counter() - started < 1.0
+
+    def test_check_oracle_budget(self, capsys):
+        angles = " ".join(["30"] * 13)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", angles, "--mv", "M" * 7 + "V" * 6, "--oracle")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: 13 creases exceed the limit of 12 for --oracle\n"
+        # without --oracle the search is skipped, and --oracle is not suggested
+        angles = " ".join(["30"] * 14)
+        code, out, _ = run_cli(capsys, "check", angles, "--mv", "M" * 8 + "V" * 6,
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["oracle"]["skipped"] == "beyond the exhaustive-search limit"
+
     def test_unexpected_exception_exits_two(self, capsys, monkeypatch):
         import flatfold.cli as climod
 

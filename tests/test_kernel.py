@@ -1,0 +1,166 @@
+"""The integer kernel of counting and crimping against the `Fraction` code it replaced.
+
+`reference_count_mv` and `reference_crimp_validity` are the recursion and
+the crimp reduction as they ran before they moved to LCM-scaled integers:
+every step rebuilds an `AngleSequence` of `Fraction` sectors. The kernel must
+take the same steps, with the same start, length, factor and residual, and
+give the same verdict on every assignment.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import comb
+
+from flatfold.core import AngleSequence, MVAssignment, MVLabel
+from flatfold.errors import NotFlatFoldableError
+from flatfold.vertex import count_mv, crimp_validity
+
+
+def _reference_kawasaki(v):
+    return len(v) % 2 == 0 and sum(v.angles[0::2]) - sum(v.angles[1::2]) == 0
+
+
+def _reference_runs(v):
+    m = len(v)
+    vals = list(v.angles)
+    starts = [i for i in range(m) if vals[i] != vals[i - 1]]
+    runs = []
+    for s_idx, s in enumerate(starts):
+        nxt = starts[(s_idx + 1) % len(starts)]
+        if vals[s - 1] > vals[s] and vals[nxt] > vals[s]:
+            runs.append((s, (nxt - s) % m - 1))
+    return runs
+
+
+def reference_count_mv(v):
+    """(count, base, [(start, length, factor, residual), ...])."""
+    if not _reference_kawasaki(v):
+        raise NotFlatFoldableError("closure fails")
+    current = v
+    product = 1
+    trace = []
+    while True:
+        runs = _reference_runs(current)
+        if not runs:
+            m = len(current)
+            base = 2 * comb(m, m // 2 - 1)
+            return product * base, base, trace
+        start, k = min(runs, key=lambda r: (current[r[0]], r[0]))
+        factor = comb(k + 2, (k + 2) // 2) if k % 2 == 0 else comb(k + 2, (k + 1) // 2)
+        s = list(current.rotated(start - 1).angles)
+        if k % 2 == 0:
+            residual = AngleSequence(tuple([s[0] - s[1] + s[k + 2]] + s[k + 3 :]))
+        else:
+            residual = AngleSequence(tuple([s[0]] + s[k + 2 :]))
+        assert _reference_kawasaki(residual)
+        trace.append((start, k + 1, factor, residual))
+        product *= factor
+        current = residual
+
+
+def reference_crimp_validity(v, mv):
+    if not _reference_kawasaki(v):
+        raise NotFlatFoldableError("closure fails")
+    sectors = list(v.angles)
+    labels = list(mv.labels)
+    while True:
+        m = len(sectors)
+        if m == 2:
+            return sectors[0] == sectors[1] and labels[0] == labels[1]
+        for i in range(m):
+            if (
+                sectors[i - 1] >= sectors[i]
+                and sectors[(i + 1) % m] >= sectors[i]
+                and labels[i] != labels[(i + 1) % m]
+            ):
+                break
+        else:
+            return False
+        rot = (i - 1) % m
+        sectors = sectors[rot:] + sectors[:rot]
+        labels = labels[rot:] + labels[:rot]
+        sectors = [sectors[0] - sectors[1] + sectors[2]] + sectors[3:]
+        labels = [labels[0]] + labels[3:]
+
+
+def _interleave(odd, even):
+    return AngleSequence(tuple(a for pair in zip(odd, even) for a in pair))
+
+
+def generic_star(rng, m, total):
+    """Distinct rational sectors, each parity class summing to total / 2."""
+    classes = []
+    for _ in range(2):
+        raw = [rng.randint(1, 997) for _ in range(m // 2)]
+        classes.append([Fraction(total, 2) * r / sum(raw) for r in raw])
+    return _interleave(*classes)
+
+
+def pooled_star(rng, m, total):
+    """Sectors of 1, 2 or 3 units of total / (2 * units): many equal runs."""
+    odd = [rng.randint(1, 3) for _ in range(m // 2)]
+    even = [1] * (m // 2)
+    for _ in range(sum(odd) - m // 2):
+        even[rng.choice([j for j in range(m // 2) if even[j] < 3])] += 1
+    unit = Fraction(total, 2 * sum(odd))
+    return _interleave([unit * u for u in odd], [unit * u for u in even])
+
+
+def seeded_stars(sizes, seed):
+    """Generic, pooled and cone stars of each size, none with all-integer sectors."""
+    rng = random.Random(seed)
+    stars = []
+    for m in sizes:
+        cone_total = Fraction(rng.randint(100, 2000), 7)
+        for family, total in ((generic_star, 360), (pooled_star, Fraction(1079, 3)),
+                              (generic_star, cone_total), (pooled_star, cone_total)):
+            stars.append(family(rng, m, total))
+    return stars
+
+
+def _assert_same_count(v):
+    count, base, trace = reference_count_mv(v)
+    result = count_mv(v)
+    assert (result.count, result.base) == (count, base)
+    assert len(result.trace) == len(trace)
+    for step, (start, length, factor, residual) in zip(result.trace, trace):
+        assert (step.start, step.length, step.factor) == (start, length, factor)
+        assert step.residual == residual
+
+
+def test_count_matches_reference_on_corpus(corpus200):
+    for v in corpus200:
+        _assert_same_count(v)
+
+
+def test_count_matches_reference_on_seeded_stars():
+    stars = seeded_stars((4, 10, 24, 60, 150, 400), 1)
+    assert all(any(a.denominator > 1 for a in v) for v in stars)
+    assert any(not v.is_flat for v in stars)
+    for v in stars:
+        _assert_same_count(v)
+
+
+def test_crimp_matches_reference_on_every_assignment(corpus_small):
+    stars = list(corpus_small) + seeded_stars((2, 4, 6, 8, 10), 3)
+    stars += [AngleSequence((Fraction(700, 3 * m),) * m) for m in (4, 6, 8, 10)]  # equal cones
+    for v in stars:
+        for labels in itertools.product(tuple(MVLabel), repeat=len(v)):
+            mv = MVAssignment(labels)
+            assert crimp_validity(v, mv) == reference_crimp_validity(v, mv), (v, str(mv))
+
+
+def test_count_builds_no_angle_sequence(monkeypatch):
+    v = generic_star(random.Random(5), 200, 360)
+    built = []
+    post_init = AngleSequence.__post_init__
+
+    def counting_post_init(self):
+        built.append(len(self.angles))
+        post_init(self)
+
+    monkeypatch.setattr(AngleSequence, "__post_init__", counting_post_init)
+    result = count_mv(v)
+    assert len(result.trace) == 99
+    assert built == []
