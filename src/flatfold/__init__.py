@@ -7,7 +7,6 @@ desk scale, and necessary-condition checks for multi-vertex patterns.
 """
 
 from .core import (
-    Angle,
     AngleSequence,
     CountResult,
     CreasePattern,
@@ -53,7 +52,6 @@ from .vertex import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angle",
     "AngleSequence",
     "AffineMap",
     "ClosedCurve",

@@ -47,8 +47,10 @@ _NECESSARY_ONLY = (
 # --------------------------------------------------------------------------
 # parsing
 
-# Longest accepted angle token. Exponent notation is refused outright: a
-# short token such as 1e5000 stands for a number too long to report.
+# Longest accepted number token, of an angle list or a pattern file.
+# Exponent notation is refused outright: a short token such as 1e5000 stands
+# for a number too long to report, and 1e-3000000 for one too long to compute
+# with. Every number of at most 100 characters also fits a float.
 _MAX_TOKEN_CHARS = 100
 
 
@@ -98,13 +100,22 @@ def parse_assignment(text: str) -> MVAssignment:
         raise ParseError(str(exc)) from None
 
 
+def _pattern_number(token: str, what: str) -> str:
+    """A number token of a pattern file, under the rules of angle tokens."""
+    if len(token) > _MAX_TOKEN_CHARS:
+        raise SchemaError("a %s is longer than %d characters" % (what, _MAX_TOKEN_CHARS))
+    if "e" in token.lower():
+        raise SchemaError("exponent notation is not accepted in a %s: %r" % (what, token))
+    return token
+
+
 def _coerce_coordinate(value: Any, what: str) -> Fraction:
     # `type`, not `isinstance`, here and for indices: JSON true is an int
     if type(value) in (int, Fraction):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return Fraction(_pattern_number(value, what))
         except (ValueError, ZeroDivisionError):
             raise SchemaError("bad %s %r" % (what, value)) from None
     raise SchemaError("bad %s %r" % (what, value))
@@ -116,10 +127,16 @@ def parse_pattern(path: str) -> CreasePattern:
     Schema: {"vertices": [[x, y], ...], "creases": [[i, j], ...],
     "boundary": [i, ...], "assignment": ["M"|"V", ...] (optional)} with
     coordinates as numbers or rational strings; decimals parse exactly.
+    Numbers follow the rules of angle tokens: at most `_MAX_TOKEN_CHARS`
+    characters and no exponent.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=Fraction)
+            data = json.load(
+                fh,
+                parse_int=lambda t: int(_pattern_number(t, "number")),
+                parse_float=lambda t: Fraction(_pattern_number(t, "number")),
+            )
     except OSError as exc:
         raise SchemaError("cannot read %s: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:

@@ -23,35 +23,26 @@ Point = tuple[Fraction, Fraction]
 FULL_TURN = Fraction(360)
 
 
-class Angle(Fraction):
-    """A positive sector angle in degrees, stored exactly."""
-
-    __slots__ = ()
-
-    def __new__(cls, value, denominator=None):
-        if denominator is None:
-            self = super().__new__(cls, value)
-        else:
-            self = super().__new__(cls, value, denominator)
-        if self <= 0:
-            raise ValueError("sector angles must be positive, got %s" % Fraction(self))
-        return self
-
-
 @dataclass(frozen=True)
 class AngleSequence:
     """Consecutive sector angles around one interior vertex, in cyclic order.
 
     Index ``i`` is the sector between crease ``i`` and crease ``i + 1``; the
-    sector after the last crease wraps around to crease 0.
+    sector after the last crease wraps around to crease 0. Each sector is a
+    positive angle in degrees: a `Fraction` is kept as it is, anything else
+    is coerced with ``Fraction(...)``. This is the one place a sector is
+    checked.
     """
 
-    angles: tuple[Angle, ...]
+    angles: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coerced = tuple(a if isinstance(a, Angle) else Angle(a) for a in self.angles)
+        coerced = tuple(a if type(a) is Fraction else Fraction(a) for a in self.angles)
         if not coerced:
             raise ValueError("an angle sequence needs at least one sector")
+        for a in coerced:
+            if a.numerator <= 0:
+                raise ValueError("sector angles must be positive, got %s" % a)
         object.__setattr__(self, "angles", coerced)
 
     def __len__(self) -> int:
@@ -60,15 +51,16 @@ class AngleSequence:
     def __iter__(self):
         return iter(self.angles)
 
-    def __getitem__(self, i: int) -> Angle:
+    def __getitem__(self, i: int) -> Fraction:
         return self.angles[i]
 
-    def cyclic(self, i: int) -> Angle:
+    def cyclic(self, i: int) -> Fraction:
         return self.angles[i % len(self.angles)]
 
     @property
     def total(self) -> Fraction:
-        return sum(self.angles, Fraction(0))
+        ints, den = self.scaled
+        return Fraction(sum(ints), den)
 
     @property
     def is_flat(self) -> bool:
@@ -393,10 +385,6 @@ def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[li
     return ipts, [any(_on_segment(q, a, b) for a, b in bedges) for q in ipts], scale
 
 
-def _midpoint(a: Point, b: Point) -> Point:
-    return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-
-
 def _check_label_count(assignment: Optional[MVAssignment], creases: Sequence) -> None:
     if assignment is not None and len(assignment) != len(creases):
         raise StructuralError("assignment has %d labels for %d creases"
@@ -517,19 +505,24 @@ def normalize_pattern(p: CreasePattern) -> CreasePattern:
 
     The new degree-2 interior vertex is tagged in ``split_vertices`` and both
     halves inherit the original crease's label. Idempotent: a pattern with no
-    border-to-border crease is returned as it is.
+    border-to-border crease is returned as it is. The split pattern keeps the
+    integer geometry of ``p``, extended by the midpoints, which are integers
+    because the scale is even.
     """
-    on_border = [v.on_boundary for v in p.vertices]
-    if not any(on_border[i] and on_border[j] for i, j in p.creases):
+    ipts, flags, scale = p._geometry
+    if not any(flags[i] and flags[j] for i, j in p.creases):
         return p
-    vertices = list(p.vertices)
+    ipts, flags, vertices = list(ipts), list(flags), list(p.vertices)
     creases: list[tuple[int, int]] = []
     labels: list[MVLabel] = []
     for ci, (i, j) in enumerate(p.creases):
         halves = [(i, j)]
-        if on_border[i] and on_border[j]:
-            mid_id = len(vertices)
-            vertices.append(Vertex(*_midpoint(p.point(i), p.point(j)), False))
+        if flags[i] and flags[j]:
+            mid_id = len(ipts)
+            mx, my = (ipts[i][0] + ipts[j][0]) // 2, (ipts[i][1] + ipts[j][1]) // 2
+            ipts.append((mx, my))
+            flags.append(False)
+            vertices.append(Vertex(Fraction(mx, scale), Fraction(my, scale), False))
             halves = [(i, mid_id), (mid_id, j)]
         creases.extend(halves)
         if p.assignment is not None:
@@ -540,6 +533,7 @@ def normalize_pattern(p: CreasePattern) -> CreasePattern:
         boundary=p.boundary,
         assignment=MVAssignment(tuple(labels)) if p.assignment is not None else None,
         split_vertices=p.split_vertices | set(range(len(p.vertices), len(vertices))),
+        _geometry=(ipts, flags, scale),
     )
 
 
@@ -557,7 +551,7 @@ def _assemble(**fields) -> CreasePattern:
 # vertex stars
 
 
-def _half_plane(d: tuple[Fraction, Fraction]) -> int:
+def _half_plane(d: tuple[int, int]) -> int:
     dx, dy = d
     return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
 
@@ -574,37 +568,42 @@ def _compare_directions(d1, d2) -> int:
     raise StructuralError("two creases leave the vertex in the same direction")
 
 
-def incident_creases_ccw(
-    p: CreasePattern, v: int
-) -> list[tuple[int, tuple[Fraction, Fraction]]]:
-    """Creases at v with their outgoing direction vectors, sorted CCW from +x."""
-    vx, vy = p.point(v)
-    ipts = p._geometry[0]  # the same directions scaled to integers sort faster
-    items = []
+# orders (crease id, direction) pairs counterclockwise from +x
+_CCW = functools.cmp_to_key(lambda a, b: _compare_directions(a[1], b[1]))
+
+
+def _directions(p: CreasePattern, v: int) -> list[tuple[int, tuple[int, int]]]:
+    """Each crease at v with its outgoing direction in the integer-scaled plane."""
+    ipts = p._geometry[0]
+    (vx, vy), out = ipts[v], []
     for ci in p._incidence[v]:
-        o = sum(p.creases[ci]) - v  # the other end
-        (ox, oy), (ix, iy) = p.point(o), ipts[o]
-        items.append((ci, (ox - vx, oy - vy), (ix - ipts[v][0], iy - ipts[v][1])))
-    items.sort(key=functools.cmp_to_key(lambda a, b: _compare_directions(a[2], b[2])))
-    return [item[:2] for item in items]
+        ox, oy = ipts[sum(p.creases[ci]) - v]  # the other end
+        out.append((ci, (ox - vx, oy - vy)))
+    return out
 
 
-def _direction_degrees_exact(d: tuple[Fraction, Fraction]) -> Optional[Fraction]:
+def incident_creases_ccw(p: CreasePattern, v: int) -> list[int]:
+    """The creases at v, sorted counterclockwise from +x."""
+    return [ci for ci, _ in sorted(_directions(p, v), key=_CCW)]
+
+
+def _direction_degrees_exact(d: tuple[int, int]) -> Optional[int]:
     """Exact degree measure of a direction, or None if it is not a 45° multiple.
 
     Directions with a rational tangent have a rational degree measure only
     for tangents 0 and +-1 (and the vertical), so these are the only exactly
-    representable cases over rational coordinates.
+    representable cases over rational coordinates. The integer-scaled
+    direction has the same signs and equalities as the rational one.
     """
     dx, dy = d
     if dy == 0:
-        return Fraction(0) if dx > 0 else Fraction(180)
+        return 0 if dx > 0 else 180
     if dx == 0:
-        return Fraction(90) if dy > 0 else Fraction(270)
+        return 90 if dy > 0 else 270
     if dx == dy:
-        return Fraction(45) if dx > 0 else Fraction(225)
+        return 45 if dx > 0 else 225
     if dx == -dy:
-        return Fraction(135) if dy > 0 else Fraction(315)
+        return 135 if dy > 0 else 315
     return None
 
 
@@ -614,8 +613,9 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
     Exact, and defined only when every incident crease runs at a multiple of
     45 degrees (or the vertex has a single crease): no other direction with
     rational coordinates has a rational degree measure, so any other vertex
-    raises `ExactnessError`. `pattern.reflection_trace` decides closure at
-    such a vertex exactly instead.
+    raises `ExactnessError`, naming its first such crease counterclockwise
+    from +x. `pattern.reflection_trace` decides closure at such a vertex
+    exactly instead.
     """
     if not 0 <= v < len(p.vertices):
         raise StructuralError("vertex %d out of range" % v)
@@ -623,20 +623,18 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
         raise StructuralError(
             "vertex %d is on the border; border vertices follow different rules" % v
         )
-    incident = incident_creases_ccw(p, v)
-    if not incident:
+    directions = _directions(p, v)
+    if not directions:
         raise StructuralError("vertex %d has no creases" % v)
-    if len(incident) == 1:
-        return AngleSequence((Angle(360),))
-
-    thetas: list[Fraction] = []
-    for ci, d in incident:
-        t = _direction_degrees_exact(d)
-        if t is None:
-            raise ExactnessError(
-                "crease %d at vertex %d is not at a multiple of 45 degrees" % (ci, v)
-            )
-        thetas.append(t)
-    sectors = [thetas[i + 1] - thetas[i] for i in range(len(thetas) - 1)]
-    sectors.append(FULL_TURN - thetas[-1] + thetas[0])
-    return AngleSequence(tuple(Angle(s) for s in sectors))
+    if len(directions) == 1:
+        return AngleSequence((FULL_TURN,))
+    thetas = [_direction_degrees_exact(d) for _, d in directions]
+    if None in thetas:
+        ci = min((cd for cd, t in zip(directions, thetas) if t is None), key=_CCW)[0]
+        raise ExactnessError(
+            "crease %d at vertex %d is not at a multiple of 45 degrees" % (ci, v)
+        )
+    thetas.sort()  # counterclockwise from +x
+    sectors = [b - a for a, b in zip(thetas, thetas[1:])]
+    sectors.append(360 - thetas[-1] + thetas[0])
+    return AngleSequence(tuple(sectors))

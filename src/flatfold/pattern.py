@@ -172,7 +172,7 @@ def curve_around_vertex(p: CreasePattern, v: int) -> ClosedCurve:
     incident = incident_creases_ccw(p, v)
     if not incident:
         raise StructuralError("vertex %d has no creases" % v)
-    return ClosedCurve(tuple(ci for ci, _ in incident))
+    return ClosedCurve(tuple(incident))
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,8 @@ def _is_split_style(p: CreasePattern, v: int) -> bool:
         others.append(j if i == v else i)
     if not all(p.vertices[o].on_boundary for o in others):
         return False
-    return _orient(p.point(others[0]), p.point(v), p.point(others[1])) == 0
+    ipts = p._geometry[0]
+    return _orient(ipts[others[0]], ipts[v], ipts[others[1]]) == 0
 
 
 def generalized_maekawa(p: CreasePattern) -> tuple[PatternTally, bool]:

@@ -78,8 +78,9 @@ NOTCH_DOC = {
 }
 
 
-# Two features 10^-400 apart: no float tells them apart, exact validation does.
-NEAR = "%d/%d" % (2 * 10**400 + 1, 10**400)
+# Two features 10^-48 apart: no float tells them apart, exact validation
+# does. The rational string is 99 characters, within the token limit.
+NEAR = "%d/%d" % (2 * 10**48 + 1, 10**48)
 NEAR_DOC = {
     "vertices": [[0, 0], [4, 0], [4, 4], [0, 4], [2, 2], [2, 0], [1, NEAR], [3, NEAR]],
     "creases": [[4, 5], [6, 7]],
@@ -146,6 +147,17 @@ class TestParsePattern:
         monkeypatch.setattr(core, "_validate_pattern", counting)
         parse_pattern(write_pattern(tmp_path, doc))
         assert len(calls) == 1
+
+    def test_makes_the_integer_geometry_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = core._integer_geometry
+        monkeypatch.setattr(core, "_integer_geometry",
+                            lambda pts, boundary: calls.append(pts) or real(pts, boundary))
+        path = write_pattern(tmp_path, dict(BORDER_CREASE_DOC, assignment=["M"]))
+        assert len(parse_pattern(path).split_vertices) == 1
+        assert len(calls) == 1
+        assert main(["pattern", "check", path]) == 0
+        assert len(calls) == 2  # one per request
 
     def test_wrong_assignment_length(self, tmp_path):
         doc = dict(VALID_DOC, assignment=["M", "V"])
@@ -391,6 +403,46 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("1" * 5000, "a number is longer than 100 characters"),
+            ("1." + "1" * 4998, "a number is longer than 100 characters"),
+            ('"%s"' % ("1" * 400), "a coordinate is longer than 100 characters"),
+            ("1e-3000000", "exponent notation is not accepted in a number: '1e-3000000'"),
+            ("1e10000000", "exponent notation is not accepted in a number: '1e10000000'"),
+            ("1e400", "exponent notation is not accepted in a number: '1e400'"),
+            ('"1E-3"', "exponent notation is not accepted in a coordinate: '1E-3'"),
+        ],
+        ids=["5000-digit", "5000-char-decimal", "400-digit-string", "1e-3000000",
+             "1e10000000", "1e400", "exponent-string"],
+    )
+    @pytest.mark.parametrize("command", ["check", "svg"])
+    def test_pattern_file_numbers_follow_the_angle_token_rules(
+        self, capsys, tmp_path, command, token, message
+    ):
+        """A unit square with one crease from its centre to (0.5, token)."""
+        path = tmp_path / "pattern.json"
+        path.write_text('{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], '
+                        '[0.5, %s]], "creases": [[4, 5]], "boundary": [0, 1, 2, 3]}' % token)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "pattern", command, str(path),
+                                 *(["-o", str(tmp_path / "out.svg")] if command == "svg" else []))
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+        assert time.perf_counter() - start < 1
+
+    def test_pattern_svg_renders_the_largest_and_smallest_numbers(self, capsys, tmp_path):
+        # every number of at most 100 characters fits a float
+        big, tiny = "9" * 99, '"1/%s"' % ("9" * 98)
+        path = tmp_path / "pattern.json"
+        path.write_text('{"vertices": [[-%s, -%s], [%s, -%s], [%s, %s], [-%s, %s], [0, %s], '
+                        '[%s, %s]], "creases": [[4, 5]], "boundary": [0, 1, 2, 3]}'
+                        % ((big,) * 9 + (tiny, tiny)))
+        out_svg = tmp_path / "out.svg"
+        assert run_cli(capsys, "pattern", "svg", str(path), "-o", str(out_svg))[0] == 0
+        assert 'viewBox="-1.1e+99 -1.1e+99 2.2e+99 2.2e+99"' in out_svg.read_text()
+        assert run_cli(capsys, "pattern", "check", str(path))[0] == 0
 
     def test_pattern_check_within_float_resolution(self, capsys, tmp_path):
         path = write_pattern(tmp_path, NEAR_DOC)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from flatfold import core, corpus
 from flatfold.core import (
-    Angle,
     AngleSequence,
     CreasePattern,
     MVAssignment,
@@ -53,27 +52,33 @@ def unsplit_chain_pattern(rng, k, monkeypatch):
         return corpus.chain_pattern(rng, k, with_split=True)
 
 
-def test_angle_accepts_rationals():
-    assert Angle(90) == 90
-    assert Angle("45/2") == Fraction(45, 2)
-    assert Angle(Fraction(1, 3)) == Fraction(1, 3)
-    assert Angle(22, 7) == Fraction(22, 7)
+def test_angle_sequence_accepts_rationals():
+    seq = AngleSequence((90, "45/2", Fraction(1, 3), "0.25"))
+    assert seq.angles == (90, Fraction(45, 2), Fraction(1, 3), Fraction(1, 4))
+    assert all(type(a) is Fraction for a in seq)
 
 
 @given(st.fractions(max_value=0, min_value=-1000, max_denominator=50))
-def test_angle_rejects_nonpositive(value):
-    with pytest.raises(ValueError):
-        Angle(value)
+def test_angle_sequence_rejects_nonpositive(value):
+    with pytest.raises(ValueError, match="sector angles must be positive, got %s$" % value):
+        AngleSequence((90, value, 90))
 
 
 @given(st.fractions(min_value=Fraction(1, 50), max_value=1000, max_denominator=50))
-def test_angle_accepts_positive(value):
-    assert Angle(value) == value
+def test_angle_sequence_accepts_positive(value):
+    assert AngleSequence((value,))[0] == value
+
+
+@given(st.lists(st.fractions(min_value=Fraction(1, 50), max_value=1000), min_size=1))
+def test_angle_sequence_keeps_exact_fractions(fracs):
+    seq = AngleSequence(tuple(fracs))
+    assert all(a is f for a, f in zip(seq.angles, fracs))
+    assert seq.total == sum(fracs)
 
 
 class TestAngleSequence:
     def test_coerces_and_totals(self):
-        seq = AngleSequence((90, "90", Fraction(90), Angle(90)))
+        seq = AngleSequence((90, "90", Fraction(90), 90.0))
         assert len(seq) == 4
         assert seq.total == 360
         assert seq.is_flat
@@ -169,6 +174,20 @@ class TestNormalizePattern:
             q = normalize_pattern(p)
             assert len(q.split_vertices) == 1
             assert q == split_by_rebuilding(p)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extends_the_integer_geometry(self, seed, monkeypatch):
+        # the split pattern's geometry is its own, at the unsplit pattern's scale
+        rng = random.Random(seed)
+        p = unsplit_chain_pattern(rng, rng.randint(1, 5), monkeypatch)
+        q = normalize_pattern(p)
+        ipts, flags, scale = q._geometry
+        fresh, fresh_flags, fresh_scale = core._integer_geometry(
+            [v.point for v in q.vertices], q.boundary)
+        assert scale == p._geometry[2]
+        assert flags == fresh_flags == [v.on_boundary for v in q.vertices]
+        assert [(x * fresh_scale, y * fresh_scale) for x, y in ipts] == [
+            (x * scale, y * scale) for x, y in fresh]
 
     def test_never_validates(self, monkeypatch):
         p = CreasePattern.build(

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -7,10 +8,13 @@ from fractions import Fraction
 import pytest
 
 from flatfold.cli import main
+from flatfold import core
 from flatfold.core import (
     AngleSequence,
     CreasePattern,
+    incident_creases_ccw,
     normalize_pattern,
+    vertex_star,
 )
 from flatfold.corpus import (
     chain_pattern,
@@ -19,7 +23,7 @@ from flatfold.corpus import (
     random_nonclosing_sequence,
     star_pattern,
 )
-from flatfold.errors import LocalMaekawaError, StructuralError
+from flatfold.errors import ExactnessError, LocalMaekawaError, StructuralError
 from flatfold.pattern import (
     AffineMap,
     ClosedCurve,
@@ -400,6 +404,125 @@ def test_pattern_check_traces_each_vertex_once(tmp_path, monkeypatch, capsys):
     assert main(["pattern", "check", str(path), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(calls) == len(report["reflection_traces"]) == 49
+
+
+# --------------------------------------------------------------------------
+# crease order and stars on the integer geometry
+#
+# `reference_incident_creases_ccw` and `reference_vertex_star` are the crease
+# order and the star as they ran before they moved to the integer-scaled
+# geometry: on `Fraction` directions, sorted with a comparator, the star
+# read off the sorted list. The integer code must give the same order and
+# the same star, or the same `ExactnessError` message.
+
+
+def _reference_compare(d1, d2):
+    h1, h2 = ((0 if (dy > 0 or (dy == 0 and dx > 0)) else 1) for dx, dy in (d1, d2))
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    cross = d1[0] * d2[1] - d1[1] * d2[0]
+    assert cross != 0, "two creases leave the vertex in the same direction"
+    return -1 if cross > 0 else 1
+
+
+def reference_incident_creases_ccw(p, v):
+    vx, vy = p.point(v)
+    items = []
+    for ci in p.incident_creases(v):
+        ox, oy = p.point(sum(p.creases[ci]) - v)
+        items.append((ci, (ox - vx, oy - vy)))
+    items.sort(key=functools.cmp_to_key(lambda a, b: _reference_compare(a[1], b[1])))
+    return items
+
+
+def _reference_degrees(d):
+    dx, dy = d
+    if dy == 0:
+        return Fraction(0) if dx > 0 else Fraction(180)
+    if dx == 0:
+        return Fraction(90) if dy > 0 else Fraction(270)
+    if dx == dy:
+        return Fraction(45) if dx > 0 else Fraction(225)
+    if dx == -dy:
+        return Fraction(135) if dy > 0 else Fraction(315)
+    return None
+
+
+def reference_vertex_star(p, v):
+    incident = reference_incident_creases_ccw(p, v)
+    if len(incident) == 1:
+        return AngleSequence((Fraction(360),))
+    thetas = []
+    for ci, d in incident:
+        t = _reference_degrees(d)
+        if t is None:
+            raise ExactnessError(
+                "crease %d at vertex %d is not at a multiple of 45 degrees" % (ci, v)
+            )
+        thetas.append(t)
+    sectors = [thetas[i + 1] - thetas[i] for i in range(len(thetas) - 1)]
+    sectors.append(360 - thetas[-1] + thetas[0])
+    return AngleSequence(tuple(sectors))
+
+
+def mixed_star(rng):
+    """One interior vertex with up to eight creases to nearby points, in a
+    shuffled crease order: some directions at multiples of 45 degrees, some
+    not, so the first crease counterclockwise that is off the grid is rarely
+    the first listed."""
+    directions = {}
+    for _ in range(rng.randint(1, 8)):
+        d = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if d != (0, 0):
+            g = math.gcd(*d)
+            directions.setdefault((d[0] // g, d[1] // g), d)
+    ends = list(directions.values())
+    rng.shuffle(ends)
+    points = [(-4, -4), (4, -4), (4, 4), (-4, 4), (0, 0)] + ends
+    creases = [(4, 5 + i) for i in range(len(ends))]
+    return CreasePattern.build(points, creases, boundary=(0, 1, 2, 3))
+
+
+def _star_or_error(star, p, v):
+    try:
+        return star(p, v)
+    except ExactnessError as exc:
+        return "ExactnessError: %s" % exc
+
+
+def test_integer_crease_order_and_stars_match_the_fraction_reference():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for i in range(40):
+        for p in (chain_pattern(rng, rng.randint(1, 5), with_split=(i % 2 == 0)),
+                  grid_pattern(rng, rng.randint(2, 5)), mixed_star(rng)):
+            for q in (p, rotated(p)):
+                for v in q.interior_vertex_ids():
+                    want = [ci for ci, _ in reference_incident_creases_ccw(q, v)]
+                    assert incident_creases_ccw(q, v) == want
+                    star = _star_or_error(vertex_star, q, v)
+                    assert star == _star_or_error(reference_vertex_star, q, v)
+                    outcomes.add(type(star))
+    assert outcomes == {AngleSequence, str}
+
+
+def test_local_kawasaki_all_sorts_each_vertex_once(monkeypatch):
+    import flatfold.pattern as patmod
+
+    calls = []
+    real = core.incident_creases_ccw
+
+    def counting(p, v):
+        calls.append(v)
+        return real(p, v)
+
+    monkeypatch.setattr(core, "incident_creases_ccw", counting)
+    monkeypatch.setattr(patmod, "incident_creases_ccw", counting)
+    for p in (grid_pattern(random.Random(5), 5), chain_pattern(random.Random(5), 4, True)):
+        for q in (p, rotated(p)):
+            calls.clear()
+            local_kawasaki_all(q)
+            assert sorted(calls) == q.interior_vertex_ids()
 
 
 class TestNonSufficiency:
