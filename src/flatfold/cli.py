@@ -4,9 +4,10 @@ Each ``cmd_*`` returns ``(report, violation)`` and prints nothing; a violation
 is the message of a disagreement between two deciders. `main` renders the
 report once, as JSON or as the text lines of the renderer stored beside
 ``--format``. Exit codes: 0 when the analysis ran (negative mathematical verdicts are
-results, not failures), 1 for usage/parse errors, 2 for internal invariant
-violations such as the oracle and the recursion disagreeing in ``selftest``,
-and for any unexpected exception, which is reported without a traceback.
+results, not failures), 1 for usage/parse errors and for a closed stdout, 2
+for internal invariant violations such as the oracle and the recursion
+disagreeing in ``selftest``, and for any unexpected exception, which is
+reported without a traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -141,6 +143,8 @@ def parse_pattern(path: str) -> CreasePattern:
         raise SchemaError("cannot read %s: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:
         raise SchemaError("invalid JSON in %s: %s" % (path, exc)) from None
+    except RecursionError:
+        raise SchemaError("invalid JSON in %s: nested too deeply" % path) from None
     if not isinstance(data, dict):
         raise SchemaError("the pattern document must be a JSON object")
     for key in ("vertices", "creases", "boundary"):
@@ -619,8 +623,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         if report is not None:
             print(json.dumps(report, indent=2, sort_keys=True) if args.format == "json"
                   else "\n".join(args.text(report)))
+            sys.stdout.flush()
     except FlatFoldError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): not a bug. Point stdout at
+        # devnull so that the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except Exception as exc:  # a bug, but never a traceback: exit code 2
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -14,10 +14,17 @@ for one that satisfies the three layer constraints:
 Overlap is measured on open intervals: creases have no width, so touching
 at an endpoint never conflicts. Everything is exact; no tolerances.
 
-`enumerate_valid`, the one enumeration routine, folds the vertex once and
-searches stackings per assignment, up to `DEFAULT_LIMIT` sectors; only
-`oracle_is_valid` takes a higher limit. Layer constraints alone decide: the
-oracle is the ground truth that crimping and the recursion are checked by.
+Only (a) reads a label. Which fold pairs fall under (b) and which sheets
+straddle a fold for (c) follow from the folded geometry alone, so each net
+is turned into label-free (b)/(c) tables once (`_constraint_tables`), and
+every labeling's search reads them; (a) becomes the window of slots where
+each inserted sheet may go.
+
+`enumerate_valid`, the one enumeration routine, folds the vertex and builds
+its tables once, then searches stackings per assignment, up to
+`DEFAULT_LIMIT` sectors; only `oracle_is_valid` takes a higher limit. Layer
+constraints alone decide: the oracle is the ground truth that crimping and
+the recursion are checked by.
 """
 
 from __future__ import annotations
@@ -34,10 +41,10 @@ from .vertex import RunCondition, kawasaki, maekawa_check
 DEFAULT_LIMIT = 10
 
 # sheet: (low, high, orientation); fold: (left sheet, right sheet, position,
-# opening side, label). "left/right" is the order the boundary walk visits
-# the two sheets, which fixes how the label convention reads.
+# opening side). "left/right" is the order the boundary walk visits the two
+# sheets, which fixes how a label reads; labels travel beside the folds.
 _Sheet = tuple[Fraction, Fraction, int]
-_Fold = tuple[int, int, Fraction, int, MVLabel]
+_Fold = tuple[int, int, Fraction, int]
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ def fold_directions(v: AngleSequence) -> LayerModel:
     m = len(v)
     pos = [Fraction(0)]
     for j, a in enumerate(v.angles):
-        pos.append(pos[-1] + (Fraction(a) if j % 2 == 0 else -Fraction(a)))
+        pos.append(pos[-1] + a if j % 2 == 0 else pos[-1] - a)
     directions = tuple(pos[:m])
     intervals = tuple(
         (min(pos[j], pos[j + 1]), max(pos[j], pos[j + 1])) for j in range(m)
@@ -73,22 +80,21 @@ def fold_directions(v: AngleSequence) -> LayerModel:
     return LayerModel(directions, intervals, orientations)
 
 
-def _cyclic_net(model: LayerModel, mv: MVAssignment) -> tuple[list[_Sheet], list[_Fold]]:
+def _cyclic_net(model: LayerModel) -> tuple[list[_Sheet], list[_Fold]]:
     m = len(model.orientations)
     sheets = [
         (model.intervals[j][0], model.intervals[j][1], model.orientations[j])
         for j in range(m)
     ]
     folds = [
-        ((j - 1) % m, j, model.directions[j], 1 if j % 2 == 0 else -1, mv[j])
+        ((j - 1) % m, j, model.directions[j], 1 if j % 2 == 0 else -1)
         for j in range(m)
     ]
     return sheets, folds
 
 
-def _fold_wants_right_above(sheets: list[_Sheet], fold: _Fold) -> bool:
-    left, _right, _pos, _side, label = fold
-    return (label is MVLabel.VALLEY) == (sheets[left][2] == 1)
+def _fold_wants_right_above(sheets: list[_Sheet], fold: _Fold, label: MVLabel) -> bool:
+    return (label is MVLabel.VALLEY) == (sheets[fold[0]][2] == 1)
 
 
 def _interleaved(a1: int, a2: int, b1: int, b2: int) -> bool:
@@ -104,98 +110,146 @@ def stacking_valid(
         raise ValueError("assignment length must match the number of creases")
     if sorted(stacking) != list(range(m)):
         raise ValueError("stacking must be a permutation of the sectors")
-    sheets, folds = _cyclic_net(model, mv)
+    sheets, folds = _cyclic_net(model)
     level = [0] * m
     for lvl, s in enumerate(stacking):
         level[s] = lvl
-    for fold in folds:
+    for fold, label in zip(folds, mv):
         left, right = fold[0], fold[1]
-        if _fold_wants_right_above(sheets, fold) != (level[right] > level[left]):
+        if _fold_wants_right_above(sheets, fold, label) != (level[right] > level[left]):
             return False
     for f1, f2 in itertools.combinations(folds, 2):
-        if f1[2] == f2[2] and f1[3] == f2[3]:
+        if f1[3] == f2[3] and f1[2] == f2[2]:
             a1, a2 = sorted((level[f1[0]], level[f1[1]]))
             b1, b2 = sorted((level[f2[0]], level[f2[1]]))
             if _interleaved(a1, a2, b1, b2):
                 return False
-    for left, right, pos, _side, _label in folds:
+    for left, right, pos, _side in folds:
         lo, hi = sorted((level[left], level[right]))
         for s, (slo, shi, _o) in enumerate(sheets):
             if s in (left, right):
                 continue
-            if slo < pos < shi and lo < level[s] < hi:
+            if lo < level[s] < hi and slo < pos < shi:
                 return False
     return True
 
 
-def _search(sheets: list[_Sheet], folds: list[_Fold]) -> Optional[list[int]]:
+@dataclass(frozen=True)
+class _Tables:
+    """The layer constraints of one folded net, indexed by the insertion step
+    that places the last of their sheets (sheet j is inserted at step j).
+
+    ``closing[j]`` holds (a) as ``(fold, other, above)``: sheet j and sheet
+    ``other`` meet at ``fold``, and j lies above ``other`` exactly when
+    ``(the fold's label is a valley) == above``. ``pairs[j]`` holds (b) as
+    ``(p, q, r, s)``: folds p-q and r-s must not interleave.
+    ``straddles[j]`` holds (c) as ``(p, q, s)``: sheet s must not lie
+    between fold p-q's sheets. Only (a) reads a label, so one table serves
+    every labeling.
+    """
+
+    closing: tuple[tuple[tuple[int, int, bool], ...], ...]
+    pairs: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    straddles: tuple[tuple[tuple[int, int, int], ...], ...]
+
+
+def _constraint_tables(sheets: list[_Sheet], folds: list[_Fold]) -> _Tables:
+    n = len(sheets)
+    closing: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+    for fi, (p, q, _pos, _side) in enumerate(folds):
+        # a valley puts the right sheet above the left one when the left
+        # sheet shows sector 0's face (see `_fold_wants_right_above`)
+        left_up = sheets[p][2] == 1
+        closing[max(p, q)].append((fi, p, left_up) if q > p else (fi, q, not left_up))
+    pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for (p, q, pos1, side1), (r, s, pos2, side2) in itertools.combinations(folds, 2):
+        # folds that share a sheet cannot interleave strictly
+        if side1 == side2 and pos1 == pos2 and len({p, q, r, s}) == 4:
+            pairs[max(p, q, r, s)].append((p, q, r, s))
+    straddles: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for p, q, pos, _side in folds:
+        for s, (slo, shi, _o) in enumerate(sheets):
+            if s != p and s != q and slo < pos < shi:
+                straddles[max(p, q, s)].append((p, q, s))
+    return _Tables(*(tuple(map(tuple, t)) for t in (closing, pairs, straddles)))
+
+
+def _search(tables: _Tables, labels: Sequence[MVLabel]) -> Optional[list[int]]:
     """Insert sheets one by one into a growing stack, pruning as constraints
     complete. Violations are monotone in insertions (later sheets never
-    reorder earlier ones), so pruning is sound and the search exhaustive."""
-    n = len(sheets)
-    by_step: list[list[int]] = [[] for _ in range(n)]
-    for fi, fold in enumerate(folds):
-        by_step[max(fold[0], fold[1])].append(fi)
-    order = [0]
-    complete: list[int] = []
+    reorder earlier ones), so pruning is sound and the search exhaustive.
 
-    def partial_ok(j: int, newly: list[int]) -> bool:
-        level = {s: t for t, s in enumerate(order)}
-        for me, fi in enumerate(newly):
-            left, right, pos, side, _label = folds[fi]
-            lo, hi = sorted((level[left], level[right]))
-            for fj in itertools.chain(complete, newly[:me]):
-                other = folds[fj]
-                if other[2] == pos and other[3] == side:
-                    b1, b2 = sorted((level[other[0]], level[other[1]]))
-                    if _interleaved(lo, hi, b1, b2):
-                        return False
-            for s in order:
-                if s in (left, right):
-                    continue
-                slo, shi, _o = sheets[s]
-                if slo < pos < shi and lo < level[s] < hi:
-                    return False
-        slo, shi, _o = sheets[j]
-        lj = level[j]
-        for fj in complete:
-            left, right, pos, _side, _label = folds[fj]
-            if slo < pos < shi:
-                b1, b2 = sorted((level[left], level[right]))
-                if b1 < lj < b2:
-                    return False
+    Constraint (a), the only one that reads a label, narrows the slots where
+    sheet j may go to a window above or below each closing fold's other
+    sheet; the window is worked out once per labeling. At a slot, only the
+    (b) and (c) entries of step j are checked, on integer levels that are
+    kept up to date as sheet j moves up through its window.
+    """
+    pairs, straddles = tables.pairs, tables.straddles
+    n = len(pairs)
+    # windows[j]: (other sheet, whether sheet j must lie above it)
+    windows = [
+        [(other, (labels[fi] is MVLabel.VALLEY) == above) for fi, other, above in closing]
+        for closing in tables.closing
+    ]
+    order = [0]
+    level = [0] * n
+
+    # levels are distinct, so sheet x lies between sheets p and q exactly
+    # when one of the two is below x and the other above it
+    def step_ok(j: int) -> bool:
+        for p, q, s in straddles[j]:
+            x = level[s]
+            if (x > level[p]) != (x > level[q]):
+                return False
+        for p, q, r, s in pairs[j]:
+            # interleaved: exactly one of r, s lies between p and q
+            lp, lq = level[p], level[q]
+            if ((level[r] > lp) != (level[r] > lq)) != ((level[s] > lp) != (level[s] > lq)):
+                return False
         return True
 
     def rec(j: int) -> Optional[list[int]]:
         if j == n:
             return list(order)
         lo, hi = 0, j
-        for fi in by_step[j]:
-            fold = folds[fi]
-            other = fold[0] if fold[1] == j else fold[1]
-            right_above = _fold_wants_right_above(sheets, fold)
-            j_above = right_above if fold[1] == j else not right_above
-            t_other = order.index(other)
-            if j_above:
-                lo = max(lo, t_other + 1)
+        for other, above in windows[j]:
+            if above:
+                lo = max(lo, level[other] + 1)
             else:
-                hi = min(hi, t_other)
-        for t in range(lo, hi + 1):
-            order.insert(t, j)
-            if partial_ok(j, by_step[j]):
-                complete.extend(by_step[j])
+                hi = min(hi, level[other])
+        if lo > hi:
+            return None
+        order.insert(lo, j)
+        level[j] = lo
+        for s in order[lo + 1 :]:
+            level[s] += 1
+        t = lo
+        while True:
+            if step_ok(j):
                 found = rec(j + 1)
                 if found is not None:
                     return found
-                del complete[len(complete) - len(by_step[j]) :]
-            order.pop(t)
+            if t == hi:
+                break
+            # move sheet j up one slot, past the sheet just above it
+            above_j = order[t + 1]
+            order[t], order[t + 1] = above_j, j
+            level[above_j] -= 1
+            t += 1
+            level[j] = t
+        del order[t]
+        for s in order[t:]:
+            level[s] -= 1
         return None
 
     return rec(1)
 
 
-def _find_stacking(model: LayerModel, mv: MVAssignment) -> Optional[tuple[int, ...]]:
-    found = _search(*_cyclic_net(model, mv))
+def _find_stacking(
+    model: LayerModel, tables: _Tables, mv: MVAssignment
+) -> Optional[tuple[int, ...]]:
+    found = _search(tables, mv)
     if found is None:
         return None
     assert stacking_valid(model, mv, found)
@@ -204,7 +258,8 @@ def _find_stacking(model: LayerModel, mv: MVAssignment) -> Optional[tuple[int, .
 
 def find_stacking(v: AngleSequence, mv: MVAssignment) -> Optional[tuple[int, ...]]:
     """A witness stacking for the assignment, or None if there is none."""
-    return _find_stacking(fold_directions(v), mv)
+    model = fold_directions(v)
+    return _find_stacking(model, _constraint_tables(*_cyclic_net(model)), mv)
 
 
 def _within_one_turn(v: AngleSequence) -> None:
@@ -253,11 +308,12 @@ def enumerate_valid(v: AngleSequence) -> list[MVAssignment]:
     if not kawasaki(v):
         return []
     model = fold_directions(v)
+    tables = _constraint_tables(*_cyclic_net(model))
     accepted = []
     for mv in all_assignments(len(v)):
         if mv[0] is MVLabel.VALLEY:
             break
-        if maekawa_check(mv) and _find_stacking(model, mv) is not None:
+        if maekawa_check(mv) and _find_stacking(model, tables, mv) is not None:
             accepted.append(mv)
     # flipping every label reverses lexicographic order
     return accepted + [mv.flipped() for mv in reversed(accepted)]
@@ -281,13 +337,20 @@ def run_restricted_valid(
     span the whole folded stack, and the unfolded cone beyond them bulges
     away from the flat layers, so it imposes no ordering of its own.
     """
+    net = _restricted_net(v, run)
+    label_list = list(labels.labels) if isinstance(labels, MVAssignment) else list(labels)
+    if len(label_list) != run.k + 2:
+        raise ValueError("need %d labels, got %d" % (run.k + 2, len(label_list)))
+    return _search(_constraint_tables(*net), [MVLabel(label) for label in label_list]) is not None
+
+
+def _restricted_net(v: AngleSequence, run: RunCondition) -> tuple[list[_Sheet], list[_Fold]]:
     _within_one_turn(v)
     if run.k + 2 > DEFAULT_LIMIT:
         raise CapacityError(
             "%d creases exceed the exhaustive-search limit of %d"
             % (run.k + 2, DEFAULT_LIMIT)
         )
-    m = len(v)
     val = Fraction(v.cyclic(run.start))
     for j in range(run.k + 1):
         if v.cyclic(run.start + j) != val:
@@ -296,9 +359,6 @@ def run_restricted_valid(
     right_a = Fraction(v.cyclic(run.start + run.k + 1))
     if not (left_a > val and right_a > val):
         raise ValueError("restricted folding needs strictly larger flanking sectors")
-    label_list = list(labels.labels) if isinstance(labels, MVAssignment) else list(labels)
-    if len(label_list) != run.k + 2:
-        raise ValueError("need %d labels, got %d" % (run.k + 2, len(label_list)))
 
     k = run.k
     sheets: list[_Sheet] = [(-left_a, Fraction(0), 1)]
@@ -313,9 +373,7 @@ def run_restricted_valid(
         direction = -direction
     end = pos + direction * right_a
     sheets.append((min(pos, end), max(pos, end), 1 if k % 2 == 0 else -1))
-
     folds: list[_Fold] = [
-        (jj, jj + 1, positions[jj], -1 if jj % 2 == 0 else 1, MVLabel(label_list[jj]))
-        for jj in range(k + 2)
+        (jj, jj + 1, positions[jj], -1 if jj % 2 == 0 else 1) for jj in range(k + 2)
     ]
-    return _search(sheets, folds) is not None
+    return sheets, folds

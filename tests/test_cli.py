@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -185,6 +186,16 @@ class TestParsePattern:
         doc = dict(VALID_DOC, creases=[[4, "5"]])
         with pytest.raises(SchemaError):
             parse_pattern(write_pattern(tmp_path, doc))
+
+    def test_deeply_nested_json_is_a_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        depth = 100000
+        path.write_text('{"vertices": %s%s, "creases": [], "boundary": []}' % ("[" * depth, "]" * depth))
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            parse_pattern(str(path))
+        code, out, err = run_cli(capsys, "pattern", "check", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: invalid JSON in %s: nested too deeply\n" % path
 
 
 class TestEmitSvg:
@@ -624,6 +635,35 @@ class TestCommands:
         assert out == ""
         assert err == "internal error: RuntimeError: boom\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("broken", ["write", "flush"])
+    def test_closed_stdout_exits_one_quietly(self, capsys, monkeypatch, tmp_path, broken):
+        class ClosedPipe:
+            # a reader that went away: the error shows on write, or only on
+            # the flush when the report fits the buffer
+            def __init__(self, sink):
+                self.sink = sink
+
+            def write(self, text):
+                if broken == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.sink.fileno()
+
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(sink))
+            code = main(["count", "90,90,90,90"])
+            monkeypatch.undo()
+            # stdout's descriptor now points at devnull, so the flush at
+            # exit has nowhere to fail
+            assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
     def test_check_flags_disagreement(self, capsys, monkeypatch):
         import flatfold.cli as climod

@@ -1,8 +1,12 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
+import flatfold.oracle as oracle_module
 from flatfold.core import AngleSequence, MVAssignment, MVLabel
+from flatfold.corpus import random_flat_sequence
 from flatfold.errors import CapacityError, NotFlatFoldableError, UnsupportedError
 from flatfold.oracle import (
     enumerate_valid,
@@ -13,7 +17,14 @@ from flatfold.oracle import (
     run_restricted_valid,
     stacking_valid,
 )
-from flatfold.vertex import count_mv, crimp_validity, find_runs, kawasaki, run_validity
+from flatfold.vertex import (
+    count_mv,
+    crimp_validity,
+    find_runs,
+    kawasaki,
+    maekawa_check,
+    run_validity,
+)
 
 SQUARE = AngleSequence((90, 90, 90, 90))
 MIRROR = AngleSequence((100, 80, 80, 100))
@@ -155,8 +166,6 @@ class TestEnumerate:
                 assert abs(mv.tally) == 2
 
     def test_folds_the_vertex_once(self, monkeypatch):
-        import flatfold.oracle as oracle_module
-
         calls = []
         real = oracle_module.fold_directions
         monkeypatch.setattr(
@@ -211,3 +220,161 @@ class TestRunRestricted:
         (run,) = find_runs(MIRROR)
         with pytest.raises(ValueError):
             run_restricted_valid(MIRROR, run, (MVLabel.MOUNTAIN,))
+
+
+# The layer search as it ran before the (b)/(c) tables: every node rebuilds a
+# level dict and rescans the completed folds and the placed sheets, comparing
+# `Fraction` positions. A fold here is (left, right, position, side, label).
+
+
+def _reference_cyclic_net(model, mv):
+    m = len(model.orientations)
+    sheets = [
+        (model.intervals[j][0], model.intervals[j][1], model.orientations[j])
+        for j in range(m)
+    ]
+    folds = [
+        ((j - 1) % m, j, model.directions[j], 1 if j % 2 == 0 else -1, mv[j])
+        for j in range(m)
+    ]
+    return sheets, folds
+
+
+def _reference_wants_right_above(sheets, fold):
+    left, _right, _pos, _side, label = fold
+    return (label is MVLabel.VALLEY) == (sheets[left][2] == 1)
+
+
+def _reference_interleaved(a1, a2, b1, b2):
+    return a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
+
+
+def reference_search(sheets, folds):
+    n = len(sheets)
+    by_step = [[] for _ in range(n)]
+    for fi, fold in enumerate(folds):
+        by_step[max(fold[0], fold[1])].append(fi)
+    order = [0]
+    complete = []
+
+    def partial_ok(j, newly):
+        level = {s: t for t, s in enumerate(order)}
+        for me, fi in enumerate(newly):
+            left, right, pos, side, _label = folds[fi]
+            lo, hi = sorted((level[left], level[right]))
+            for fj in itertools.chain(complete, newly[:me]):
+                other = folds[fj]
+                if other[2] == pos and other[3] == side:
+                    b1, b2 = sorted((level[other[0]], level[other[1]]))
+                    if _reference_interleaved(lo, hi, b1, b2):
+                        return False
+            for s in order:
+                if s in (left, right):
+                    continue
+                slo, shi, _o = sheets[s]
+                if slo < pos < shi and lo < level[s] < hi:
+                    return False
+        slo, shi, _o = sheets[j]
+        lj = level[j]
+        for fj in complete:
+            left, right, pos, _side, _label = folds[fj]
+            if slo < pos < shi:
+                b1, b2 = sorted((level[left], level[right]))
+                if b1 < lj < b2:
+                    return False
+        return True
+
+    def rec(j):
+        if j == n:
+            return list(order)
+        lo, hi = 0, j
+        for fi in by_step[j]:
+            fold = folds[fi]
+            other = fold[0] if fold[1] == j else fold[1]
+            right_above = _reference_wants_right_above(sheets, fold)
+            j_above = right_above if fold[1] == j else not right_above
+            t_other = order.index(other)
+            if j_above:
+                lo = max(lo, t_other + 1)
+            else:
+                hi = min(hi, t_other)
+        for t in range(lo, hi + 1):
+            order.insert(t, j)
+            if partial_ok(j, by_step[j]):
+                complete.extend(by_step[j])
+                found = rec(j + 1)
+                if found is not None:
+                    return found
+                del complete[len(complete) - len(by_step[j]) :]
+            order.pop(t)
+        return None
+
+    return rec(1)
+
+
+def seeded_stars(seed):
+    """A generic and a pooled star of each even size from 4 to 10, flat and
+    cone in turn. A cone is a flat star scaled below one turn, which keeps
+    closure."""
+    rng = random.Random(seed)
+    stars = []
+    for m in (4, 6, 8, 10):
+        for pooled in (False, True):
+            flat = random_flat_sequence(rng, m, pooled=pooled)
+            if len(stars) % 2:
+                scale = Fraction(rng.randint(700, 2519), 2520)
+                flat = AngleSequence(tuple(a * scale for a in flat))
+            stars.append(flat)
+    return stars
+
+
+class TestReferenceSearch:
+    """The table-driven search visits the same nodes in the same order as
+    the reference, so it finds the same first stacking, not only a verdict."""
+
+    def test_same_witness_on_seeded_stars(self):
+        stars = seeded_stars(10) + [AngleSequence((45,) * 8), AngleSequence((30,) * 10)]
+        assert any(not v.is_flat for v in stars)
+        searched = found = 0
+        for v in stars:
+            model = fold_directions(v)
+            for mv in all_assignments(len(v)):
+                if not maekawa_check(mv):
+                    continue
+                reference = reference_search(*_reference_cyclic_net(model, mv))
+                witness = find_stacking(v, mv)
+                assert witness == (None if reference is None else tuple(reference)), (
+                    v.as_strings(), str(mv))
+                searched += 1
+                found += witness is not None
+        assert found > 0 and searched - found > 0
+
+    def test_same_witness_on_restricted_nets(self, corpus200):
+        searched = found = 0
+        for v in corpus200:
+            for run in find_runs(v):
+                sheets, folds = oracle_module._restricted_net(v, run)
+                tables = oracle_module._constraint_tables(sheets, folds)
+                for labels in itertools.product(tuple(MVLabel), repeat=run.k + 2):
+                    reference = reference_search(
+                        sheets, [fold + (label,) for fold, label in zip(folds, labels)]
+                    )
+                    witness = oracle_module._search(tables, labels)
+                    assert witness == reference, (v.as_strings(), run, labels)
+                    assert run_restricted_valid(v, run, labels) == (witness is not None)
+                    searched += 1
+                    found += witness is not None
+        assert searched > 500 and 0 < found < searched
+
+    def test_enumerate_builds_the_tables_once(self, monkeypatch):
+        calls = []
+        real = oracle_module._constraint_tables
+        monkeypatch.setattr(
+            oracle_module,
+            "_constraint_tables",
+            lambda sheets, folds: calls.append(len(sheets)) or real(sheets, folds),
+        )
+        for seq in (SQUARE, AngleSequence((20, 10, 40, 50, 60, 60, 60, 60))):
+            calls.clear()
+            assert enumerate_valid(seq)
+            assert calls == [len(seq)]
