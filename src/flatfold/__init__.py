@@ -43,6 +43,7 @@ from .vertex import (
     bounds,
     count_mv,
     crimp_validity,
+    enumerate_mv,
     find_runs,
     kawasaki,
     maekawa_check,
@@ -70,6 +71,7 @@ __all__ = [
     "count_mv",
     "crimp_validity",
     "curve_around_vertex",
+    "enumerate_mv",
     "enumerate_valid",
     "find_runs",
     "fold_directions",

@@ -398,26 +398,15 @@ def cmd_check(args) -> Result:
     return report, "crimp reduction and the oracle disagree" if disagree else None
 
 
-# `enumerate --fast` filters all 2^m labelings through crimping
-FAST_ENUMERATE_LIMIT = 16
-
-
 def cmd_enumerate(args) -> Result:
     v = parse_angles(args.angles)
     report: dict[str, Any] = {"command": "enumerate", "input": _input_block(v)}
     if args.fast:
-        if len(v) > FAST_ENUMERATE_LIMIT:
-            raise CapacityError(
-                "%d creases exceed the crimp-filter limit of %d"
-                % (len(v), FAST_ENUMERATE_LIMIT)
-            )
+        # the name of the crimp filter that --fast ran before: the list is
+        # the same, and scripts match on the name
         report["method"] = "crimp-filter"
         try:
-            valid = [
-                str(mv)
-                for mv in oracle.all_assignments(len(v))
-                if vxmod.crimp_validity(v, mv)
-            ]
+            valid = [str(mv) for mv in vxmod.enumerate_mv(v)]
         except NotFlatFoldableError:
             valid = []
     else:
@@ -425,7 +414,13 @@ def cmd_enumerate(args) -> Result:
         try:
             valid = [str(mv) for mv in oracle.enumerate_valid(v)]
         except CapacityError as exc:
-            if len(v) > FAST_ENUMERATE_LIMIT:
+            # --fast lists nothing for a star that does not close, and at
+            # least 2^(m/2) assignments for one that does: a large star is
+            # refused without counting it
+            if vxmod.kawasaki(v) and (
+                2 ** (len(v) // 2) > vxmod.ENUMERATE_LIMIT
+                or vxmod.count_mv(v).count > vxmod.ENUMERATE_LIMIT
+            ):
                 raise
             raise ParseError("%s (rerun with --fast)" % exc) from None
     report["valid_assignments"] = valid
@@ -590,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     angle_commands["enumerate"].add_argument(
         "--fast",
         action="store_true",
-        help="filter by crimp reduction instead of the exhaustive oracle",
+        help="list from the counting recursion instead of the exhaustive oracle, "
+        "up to %d assignments" % vxmod.ENUMERATE_LIMIT,
     )
 
     p_pattern = sub.add_parser("pattern", help="multi-vertex pattern tools")

@@ -104,6 +104,7 @@ class MVLabel(str, Enum):
 
 M = MVLabel.MOUNTAIN
 V = MVLabel.VALLEY
+_LABELS = {"M": M, "V": V}
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,11 @@ class MVAssignment:
     labels: tuple[MVLabel, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(MVLabel(l) for l in self.labels))
+        try:
+            labels = tuple(map(_LABELS.__getitem__, self.labels))
+        except (KeyError, TypeError):  # not "M" or "V": let MVLabel raise
+            labels = tuple(MVLabel(l) for l in self.labels)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_string(cls, text: str) -> "MVAssignment":
@@ -123,7 +128,7 @@ class MVAssignment:
             raise ValueError("assignment strings may only contain M and V: %r" % text) from None
 
     def __str__(self) -> str:
-        return "".join(l.value for l in self.labels)
+        return "".join(self.labels)
 
     def __len__(self) -> int:
         return len(self.labels)

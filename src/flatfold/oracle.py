@@ -32,11 +32,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import AngleSequence, MVAssignment, MVLabel
 from .errors import CapacityError, NotFlatFoldableError, UnsupportedError
-from .vertex import RunCondition, kawasaki, maekawa_check
+from .vertex import RunCondition, kawasaki
 
 DEFAULT_LIMIT = 10
 
@@ -290,10 +290,17 @@ def oracle_is_valid(
     return find_stacking(v, mv) is not None
 
 
-def all_assignments(m: int) -> Iterable[MVAssignment]:
-    """All 2^m labelings, in lexicographic M-before-V order."""
-    for combo in itertools.product(tuple(MVLabel), repeat=m):
-        yield MVAssignment(combo)
+def _maekawa_labelings(m: int) -> list[MVAssignment]:
+    """The labelings of m creases that start with a mountain and pass
+    Maekawa's rule, M - V = +-2, in lexicographic M-before-V order."""
+    words = []
+    for mountains in (m // 2 - 1, m // 2 + 1):
+        for rest in itertools.combinations(range(1, m), mountains - 1) if mountains else ():
+            labels = ["M"] + ["V"] * (m - 1)
+            for i in rest:
+                labels[i] = "M"
+            words.append("".join(labels))
+    return [MVAssignment(word) for word in sorted(words)]
 
 
 def enumerate_valid(v: AngleSequence) -> list[MVAssignment]:
@@ -302,19 +309,18 @@ def enumerate_valid(v: AngleSequence) -> list[MVAssignment]:
     Two facts of every flat fold cut the search. Turning the paper over
     flips every label, so only assignments starting with a mountain are
     searched and each accepted one brings its flip along. Maekawa's theorem,
-    |M - V| = 2, rules out every other assignment without a layer search.
+    |M - V| = 2, rules out every other assignment without a layer search,
+    so those are never built.
     """
     _guard(v, DEFAULT_LIMIT)
     if not kawasaki(v):
         return []
     model = fold_directions(v)
     tables = _constraint_tables(*_cyclic_net(model))
-    accepted = []
-    for mv in all_assignments(len(v)):
-        if mv[0] is MVLabel.VALLEY:
-            break
-        if maekawa_check(mv) and _find_stacking(model, tables, mv) is not None:
-            accepted.append(mv)
+    accepted = [
+        mv for mv in _maekawa_labelings(len(v))
+        if _find_stacking(model, tables, mv) is not None
+    ]
     # flipping every label reverses lexicographic order
     return accepted + [mv.flipped() for mv in reversed(accepted)]
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from math import comb
 from operator import ne
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import AngleSequence, CountResult, MVAssignment, MVLabel, ReductionStep
-from .errors import NotFlatFoldableError, ParityError
+from .errors import CapacityError, NotFlatFoldableError, ParityError
 
 
 def alternating_sum(v: AngleSequence) -> Fraction:
@@ -202,6 +202,39 @@ def _default_pick(seq: list[int], runs: list[_Run]) -> _Run:
     return min(runs, key=lambda r: (seq[r.start], r.start))
 
 
+def _factor(k: int) -> int:
+    """Labelings of a run's k + 2 creases with tally 0 (k even) or with one
+    given sign of tally +-1 (k odd)."""
+    return comb(k + 2, (k + 2) // 2)
+
+
+def _base(m: int) -> int:
+    """Labelings of m creases around equal sectors: tally +2 or -2."""
+    return 2 * comb(m, m // 2 - 1)
+
+
+def _reductions(ints: Sequence[int], pick) -> Iterator[tuple[int, int, list[int]]]:
+    """The steps of the counting recursion on a closing integer star, as
+    ``(start, k, residual)``: the picked run is sectors ``start .. start +
+    k``. The last residual, or the star itself if there is no step, has all
+    sectors equal.
+    """
+    current = list(ints)
+    while True:
+        runs = _runs(current)
+        if not runs:
+            return
+        start, k = pick(current, runs)
+        # rotate the run's left neighbour to index 0, so the run is s[1 .. k + 1]
+        rot = (start - 1) % len(current)
+        s = current[rot:] + current[:rot]
+        if k % 2 == 0:
+            current = [s[0] - s[1] + s[k + 2]] + s[k + 3 :]
+        else:
+            current = [s[0]] + s[k + 2 :]
+        yield start, k, current
+
+
 def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
     """Count the valid mountain-valley assignments of a foldable vertex.
 
@@ -218,29 +251,87 @@ def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
     if not _closes(ints):
         raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
     limits = bounds(v)
-    current = list(ints)
+    residual: Sequence[int] = ints
     product = 1
     trace: list[ReductionStep] = []
-    while True:
-        runs = _runs(current)
-        if not runs:  # all sectors equal
-            m = len(current)
-            base = 2 * comb(m, m // 2 - 1)
-            break
-        start, k = _pick(current, runs)
-        if k % 2 == 0:
-            factor = comb(k + 2, (k + 2) // 2)
-        else:
-            factor = comb(k + 2, (k + 1) // 2)
-        # rotate the run's left neighbour to index 0, so the run is s[1 .. k + 1]
-        rot = (start - 1) % len(current)
-        s = current[rot:] + current[:rot]
-        if k % 2 == 0:
-            residual = [s[0] - s[1] + s[k + 2]] + s[k + 3 :]
-        else:
-            residual = [s[0]] + s[k + 2 :]
+    for start, k, residual in _reductions(ints, _pick):
         assert _closes(residual), "reduction must preserve closure"
+        factor = _factor(k)
         trace.append(ReductionStep(start, k + 1, factor, tuple(residual), den))
         product *= factor
-        current = residual
+    base = _base(len(residual))
     return CountResult(count=product * base, base=base, trace=tuple(trace), bounds=limits)
+
+
+def _with_mountains(
+    labels: list[str], creases: Sequence[int], mountains: int
+) -> Iterator[list[str]]:
+    """Copies of ``labels`` with each choice of ``mountains`` of ``creases``
+    made mountains; the other creases stay valleys, as they start."""
+    for chosen in combinations(creases, mountains):
+        new = labels.copy()
+        for c in chosen:
+            new[c] = "M"
+        yield new
+
+
+# `enumerate_mv` lists at most this many assignments, at O(count * m). Any
+# star of up to 16 creases is within it: 16 equal sectors have 22880, the
+# most (see `bounds`); 24 equal sectors, with 4992288, are not.
+ENUMERATE_LIMIT = 100_000
+
+
+def enumerate_mv(v: AngleSequence) -> list[MVAssignment]:
+    """All valid assignments of a foldable vertex, in lexicographic
+    M-before-V order: the assignments that `count_mv` counts.
+
+    Replays `count_mv`'s reduction with each crease's id carried through the
+    rotations (Hull, "Counting mountain-valley assignments for flat folds",
+    2003). A run with an odd number of sectors takes its k + 2 creases out,
+    with tally 0. A run with an even number replaces them by one virtual
+    crease, whose label is the sign of their tally: a mountain for +1, a
+    valley for -1. The all-equal residual takes every labeling of tally +2
+    or -2, and the virtual creases are then expanded, the last step's first.
+
+    The count is known from the replay before any labeling is built: above
+    `ENUMERATE_LIMIT` it raises `CapacityError`.
+    """
+    ints = v.scaled[0]
+    if not _closes(ints):
+        raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
+    m = len(ints)
+    ids = list(range(m))
+    steps: list[tuple[list[int], Optional[int]]] = []  # run creases, virtual crease
+    count = 1
+    for start, k, _residual in _reductions(ints, _default_pick):
+        # rotate as the sectors are; crease i lies before sector i, so the
+        # run's creases are ids[1 .. k + 2]
+        rot = (start - 1) % len(ids)
+        ids = ids[rot:] + ids[:rot]
+        virtual = None if k % 2 == 0 else m + len(steps)
+        steps.append((ids[1 : k + 3], virtual))
+        ids = ids[:1] + ([] if virtual is None else [virtual]) + ids[k + 3 :]
+        count *= _factor(k)
+    count *= _base(len(ids))
+    if count > ENUMERATE_LIMIT:
+        raise CapacityError(
+            "%d valid assignments exceed the listing limit of %d" % (count, ENUMERATE_LIMIT)
+        )
+    half = len(ids) // 2
+    blank = ["V"] * (m + len(steps))
+    labelings = [
+        labels
+        for mountains in (half + 1, half - 1)
+        for labels in _with_mountains(blank, ids, mountains)
+    ]
+    for run, virtual in reversed(steps):
+        # tally 0, or +1 / -1 as the virtual crease is a mountain / valley
+        n = len(run)
+        labelings = [
+            new
+            for labels in labelings
+            for new in _with_mountains(
+                labels, run, n // 2 + (virtual is not None and labels[virtual] == "M")
+            )
+        ]
+    return [MVAssignment(word) for word in sorted("".join(labels[:m]) for labels in labelings)]

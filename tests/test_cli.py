@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatfold import core
+from flatfold import core, oracle, vertex
 from flatfold.cli import build_parser, emit_svg, main, parse_angles, parse_pattern
 from flatfold.core import AngleSequence, CreasePattern, normalize_pattern
 from flatfold.errors import ParseError, PlanarityError, SchemaError
@@ -370,6 +370,38 @@ class TestCommands:
             assert slow["valid_assignments"] == fast["valid_assignments"]
             assert slow["count"] == fast["count"]
 
+    def test_enumerate_fast_lists_sixteen_equal_sectors(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run_cli(capsys, "enumerate", "--fast", " ".join(["22.5"] * 16),
+                               "--format", "json")
+        assert time.perf_counter() - started < 0.5
+        report = json.loads(out)
+        found = report["valid_assignments"]
+        assert (code, report["method"], report["count"]) == (0, "crimp-filter", 22880)
+        assert found == sorted(set(found)) and len(found) == 22880
+        assert all(abs(2 * mv.count("M") - 16) == 2 for mv in found)
+
+    def test_enumerate_fast_nonclosing_lists_nothing(self, capsys):
+        for angles in ("100,80,90,90", "90,90,180", "30,20,50,60,70,40"):
+            code, out, _ = run_cli(capsys, "enumerate", "--fast", angles, "--format", "json")
+            assert code == 0
+            assert (json.loads(out)["valid_assignments"], json.loads(out)["count"]) == ([], 0)
+
+    def test_enumerate_fast_tries_no_labeling(self, capsys, monkeypatch):
+        # a guard on work, not on time: --fast lists the assignments from
+        # the recursion and never tries one through crimping
+        calls = []
+
+        def record(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        monkeypatch.setattr(vertex, "crimp_validity", record("crimp_validity"))
+        monkeypatch.setattr(oracle, "all_assignments", record("all_assignments"), raising=False)
+        for angles in ("22.5 " * 16, "20,10,40,50,60,60,60,60", "36 " * 10):
+            code, out, _ = run_cli(capsys, "enumerate", "--fast", angles, "--format", "json")
+            assert calls == []
+            assert code == 0 and json.loads(out)["count"] > 0
+
     def test_pattern_check_report(self, capsys, tmp_path):
         path = write_pattern(tmp_path, VALID_DOC)
         code, out, _ = run_cli(capsys, "pattern", "check", path, "--format", "json")
@@ -589,7 +621,7 @@ class TestCommands:
         code, out, err = run_cli(capsys, "enumerate", "--fast", " ".join(["15"] * 24))
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (1, "")
-        assert err == "error: 24 creases exceed the crimp-filter limit of 16\n"
+        assert err == "error: 4992288 valid assignments exceed the listing limit of 100000\n"
         # the oracle's refusal suggests --fast only where --fast would run
         for m, hint in ((12, " (rerun with --fast)"), (24, "")):
             code, _, err = run_cli(capsys, "enumerate", " ".join(["15"] * m))

@@ -11,6 +11,7 @@ from flatfold.core import (
     AngleSequence,
     CreasePattern,
     MVAssignment,
+    MVLabel,
     normalize_pattern,
     vertex_star,
 )
@@ -118,6 +119,18 @@ class TestMVAssignment:
 
     def test_flipped(self):
         assert str(MVAssignment.from_string("MMV").flipped()) == "VVM"
+
+    @pytest.mark.parametrize("labels", ["MVVM", ("M", MVLabel.VALLEY, "V", MVLabel.MOUNTAIN)])
+    def test_labels_become_members(self, labels):
+        mv = MVAssignment(labels)
+        assert mv.labels == (MVLabel.MOUNTAIN, MVLabel.VALLEY, MVLabel.VALLEY, MVLabel.MOUNTAIN)
+        assert all(type(label) is MVLabel for label in mv)
+        assert str(mv) == "MVVM"
+
+    @pytest.mark.parametrize("labels", ["MvM", ("M", None), (["M"],), ("MV",)])
+    def test_bad_label_is_a_value_error(self, labels):
+        with pytest.raises(ValueError):
+            MVAssignment(labels)
 
 
 class TestNormalizePattern:

@@ -5,6 +5,10 @@ the crimp reduction as they ran before they moved to LCM-scaled integers:
 every step rebuilds an `AngleSequence` of `Fraction` sectors. The kernel must
 take the same steps, with the same start, length, factor and residual, and
 give the same verdict on every assignment.
+
+`enumerate_mv` lists the assignments by replaying the same reduction. Its
+ordered list is checked against the layer oracle, against a crimp filter
+written here, and in length against `count_mv`.
 """
 
 import itertools
@@ -12,9 +16,13 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from flatfold.core import AngleSequence, MVAssignment, MVLabel
-from flatfold.errors import NotFlatFoldableError
-from flatfold.vertex import count_mv, crimp_validity
+from flatfold.errors import CapacityError, NotFlatFoldableError
+from flatfold import vertex
+from flatfold.oracle import enumerate_valid
+from flatfold.vertex import count_mv, crimp_validity, enumerate_mv
 
 
 def _reference_kawasaki(v):
@@ -164,3 +172,74 @@ def test_count_builds_no_angle_sequence(monkeypatch):
     result = count_mv(v)
     assert len(result.trace) == 99
     assert built == []
+
+
+def equal_star(m, total):
+    return AngleSequence((Fraction(total, m),) * m)
+
+
+def crimp_filter(v):
+    """The valid assignments by trying labelings through crimping, in
+    lexicographic M-before-V order. Only labelings that pass Maekawa's rule
+    are tried: crimping rejects every other one."""
+    m = len(v)
+    found = []
+    for labels in itertools.product("MV", repeat=m):
+        if abs(2 * labels.count("M") - m) == 2:
+            mv = MVAssignment(labels)
+            if crimp_validity(v, mv):
+                found.append(mv)
+    return found
+
+
+def test_enumerate_matches_oracle(corpus200):
+    stars = list(corpus200)
+    stars += [equal_star(m, total) for m in range(2, 11, 2) for total in (360, Fraction(700, 3))]
+    for v in stars:
+        assert enumerate_mv(v) == enumerate_valid(v), v
+
+
+def test_enumerate_matches_crimp_filter_on_seeded_stars():
+    stars = seeded_stars((2, 4, 6, 8, 10, 12, 14), 11) + seeded_stars((10, 12), 12)
+    assert any(not v.is_flat for v in stars)
+    for v in stars:
+        assert enumerate_mv(v) == crimp_filter(v), v
+
+
+def test_enumerate_matches_crimp_filter_on_equal_stars():
+    for m in range(2, 13, 2):
+        for total in (360, Fraction(1079, 3)):
+            v = equal_star(m, total)
+            assert enumerate_mv(v) == crimp_filter(v), v
+
+
+def test_enumerate_length_is_count():
+    stars = seeded_stars((16, 18, 24), 13)[:10]  # sizes 16 and 18, two of 24
+    stars += [equal_star(16, 360), equal_star(14, 300)]
+    for v in stars:
+        words = [str(mv) for mv in enumerate_mv(v)]
+        assert len(words) == count_mv(v).count
+        assert words == sorted(set(words))
+    assert count_mv(equal_star(16, 360)).count == 22880
+
+
+def test_enumerate_limit_is_checked_before_listing(monkeypatch):
+    built = []
+    with monkeypatch.context() as patch:
+        patch.setattr(vertex, "_with_mountains", lambda *args: built.append(args) or iter(()))
+        message = "^4992288 valid assignments exceed the listing limit of 100000$"
+        with pytest.raises(CapacityError, match=message):
+            enumerate_mv(equal_star(24, 360))
+    assert built == []
+    v = equal_star(8, 360)
+    monkeypatch.setattr(vertex, "ENUMERATE_LIMIT", 112)
+    assert len(enumerate_mv(v)) == 112
+    monkeypatch.setattr(vertex, "ENUMERATE_LIMIT", 111)
+    with pytest.raises(CapacityError):
+        enumerate_mv(v)
+
+
+def test_enumerate_needs_closure():
+    for v in (AngleSequence((100, 80, 90, 90)), AngleSequence((90, 90, 180))):
+        with pytest.raises(NotFlatFoldableError):
+            enumerate_mv(v)
