@@ -413,10 +413,11 @@ def cmd_enumerate(args) -> Result:
         report["method"] = "oracle"
         try:
             valid = [str(mv) for mv in oracle.enumerate_valid(v)]
-        except CapacityError as exc:
+        except (CapacityError, UnsupportedError) as exc:
             # --fast lists nothing for a star that does not close, and at
             # least 2^(m/2) assignments for one that does: a large star is
-            # refused without counting it
+            # refused without counting it. A cone wider than one turn is
+            # beyond the oracle but not beyond the recursion
             if vxmod.kawasaki(v) and (
                 2 ** (len(v) // 2) > vxmod.ENUMERATE_LIMIT
                 or vxmod.count_mv(v).count > vxmod.ENUMERATE_LIMIT

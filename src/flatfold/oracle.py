@@ -1,8 +1,8 @@
 """Brute-force layer-ordering oracle for single-vertex folds.
 
-Independent ground truth at desk scale: fold the vertex star onto a ray
-diagram with exact rational positions, then search stackings of the sectors
-for one that satisfies the three layer constraints:
+Independent ground truth at desk scale: fold the paper onto a line with
+exact rational positions, then search stackings of the sheets for one that
+satisfies the three layer constraints:
 
   (a) at every crease the two adjacent sectors stack in the order the
       mountain/valley label demands under a fixed orientation convention;
@@ -14,21 +14,26 @@ for one that satisfies the three layer constraints:
 Overlap is measured on open intervals: creases have no width, so touching
 at an endpoint never conflicts. Everything is exact; no tolerances.
 
-Only (a) reads a label. Which fold pairs fall under (b) and which sheets
-straddle a fold for (c) follow from the folded geometry alone, so each net
-is turned into label-free (b)/(c) tables once (`_constraint_tables`), and
-every labeling's search reads them; (a) becomes the window of slots where
-each inserted sheet may go.
+One folded net, `LayerModel`, serves both questions the oracle answers, and
+one walk (`_walk`) builds it: a closed walk for a whole vertex
+(`fold_directions`) and an open one for a single equal-angle run between
+two flaps (`_restricted_net`). Only (a) reads a label. Which fold pairs fall
+under (b) and which sheets straddle a fold for (c) follow from the folded
+geometry alone, so each model turns them into label-free tables once
+(`_constraint_tables`), and every labeling's search reads them; (a) becomes
+the window of slots where each inserted sheet may go. One driver,
+`_stacking`, runs that search and re-checks every witness it finds with
+`stacking_valid`, for a whole vertex and a restricted run alike.
 
-`enumerate_valid`, the one enumeration routine, folds the vertex and builds
-its tables once, then searches stackings per assignment, up to
-`DEFAULT_LIMIT` sectors; only `oracle_is_valid` takes a higher limit. Layer
-constraints alone decide: the oracle is the ground truth that crimping and
-the recursion are checked by.
+`enumerate_valid`, the one enumeration routine, folds the vertex once, then
+searches stackings per assignment, up to `DEFAULT_LIMIT` sectors; only
+`oracle_is_valid` takes a higher limit. Layer constraints alone decide: the
+oracle is the ground truth that crimping and the recursion are checked by.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,60 +45,58 @@ from .vertex import RunCondition, kawasaki
 
 DEFAULT_LIMIT = 10
 
-# sheet: (low, high, orientation); fold: (left sheet, right sheet, position,
-# opening side). "left/right" is the order the boundary walk visits the two
-# sheets, which fixes how a label reads; labels travel beside the folds.
 _Sheet = tuple[Fraction, Fraction, int]
 _Fold = tuple[int, int, Fraction, int]
 
 
 @dataclass(frozen=True)
 class LayerModel:
-    """Folded 1-d geometry of a single-vertex fold.
+    """A folded net: the sheets the paper lands on and the folds joining them.
 
-    ``directions[j]`` is where crease j lands on the folded ray diagram,
-    ``intervals[j]`` the span sector j covers, and ``orientations[j]`` which
-    face of the paper sector j shows (+1 for sector 0's face).
+    ``sheets[j]`` is ``(low, high, orientation)``: the span sheet j covers on
+    the folded line, and which face of the paper it shows (+1 for sheet 0's
+    face). ``folds[i]`` is ``(left, right, position, side)``: sheets
+    ``left`` and ``right`` meet at ``position``, and the fold opens towards
+    ``side``. "left/right" is the order the walk visits the two sheets, which
+    fixes how a label reads; labels travel beside the folds, one per fold.
     """
 
-    directions: tuple[Fraction, ...]
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-    orientations: tuple[int, ...]
+    sheets: tuple[_Sheet, ...]
+    folds: tuple[_Fold, ...]
+
+    @functools.cached_property
+    def _tables(self) -> _Tables:
+        return _constraint_tables(self.sheets, self.folds)
+
+
+def _walk(start: Fraction, sectors: Sequence[Fraction], closed: bool) -> LayerModel:
+    """Lay the sectors end to end along the line from ``start``, turning back
+    at every crease. A sheet laid forwards shows sheet 0's face, and the fold
+    in front of a sheet opens the way that sheet runs. A closed walk (a whole
+    vertex) also joins the last sheet back to the first, at ``start``."""
+    sheets: list[_Sheet] = []
+    folds: list[_Fold] = []
+    pos, direction = start, 1
+    for j, a in enumerate(sectors):
+        if j or closed:
+            folds.append(((j - 1) % len(sectors), j, pos, direction))
+        end = pos + direction * a
+        sheets.append((min(pos, end), max(pos, end), direction))
+        pos, direction = end, -direction
+    return LayerModel(tuple(sheets), tuple(folds))
 
 
 def fold_directions(v: AngleSequence) -> LayerModel:
-    """Walk the sectors around the vertex, alternating direction at every
-    crease, and record where everything lands. Fails if the walk does not
-    close up, i.e. if the alternating sector sum is nonzero."""
+    """Fold the whole vertex: walk its sectors from 0, one fold per crease,
+    with fold j in front of sector j. Fails if the walk does not close up,
+    i.e. if the alternating sector sum is nonzero."""
     _within_one_turn(v)
     if not kawasaki(v):
         raise NotFlatFoldableError("the folded boundary walk does not close up")
-    m = len(v)
-    pos = [Fraction(0)]
-    for j, a in enumerate(v.angles):
-        pos.append(pos[-1] + a if j % 2 == 0 else pos[-1] - a)
-    directions = tuple(pos[:m])
-    intervals = tuple(
-        (min(pos[j], pos[j + 1]), max(pos[j], pos[j + 1])) for j in range(m)
-    )
-    orientations = tuple(1 if j % 2 == 0 else -1 for j in range(m))
-    return LayerModel(directions, intervals, orientations)
+    return _walk(Fraction(0), v.angles, closed=True)
 
 
-def _cyclic_net(model: LayerModel) -> tuple[list[_Sheet], list[_Fold]]:
-    m = len(model.orientations)
-    sheets = [
-        (model.intervals[j][0], model.intervals[j][1], model.orientations[j])
-        for j in range(m)
-    ]
-    folds = [
-        ((j - 1) % m, j, model.directions[j], 1 if j % 2 == 0 else -1)
-        for j in range(m)
-    ]
-    return sheets, folds
-
-
-def _fold_wants_right_above(sheets: list[_Sheet], fold: _Fold, label: MVLabel) -> bool:
+def _fold_wants_right_above(sheets: Sequence[_Sheet], fold: _Fold, label: MVLabel) -> bool:
     return (label is MVLabel.VALLEY) == (sheets[fold[0]][2] == 1)
 
 
@@ -102,16 +105,17 @@ def _interleaved(a1: int, a2: int, b1: int, b2: int) -> bool:
 
 
 def stacking_valid(
-    model: LayerModel, mv: MVAssignment, stacking: Sequence[int]
+    model: LayerModel, mv: Union[MVAssignment, Sequence[MVLabel]], stacking: Sequence[int]
 ) -> bool:
-    """Check one bottom-to-top sector order against all three constraints."""
-    m = len(model.orientations)
-    if len(mv) != m:
+    """Check one bottom-to-top sheet order against all three constraints.
+    ``mv`` holds one label per fold of the model, and ``stacking`` is a
+    permutation of its sheets."""
+    sheets, folds = model.sheets, model.folds
+    if len(mv) != len(folds):
         raise ValueError("assignment length must match the number of creases")
-    if sorted(stacking) != list(range(m)):
+    if sorted(stacking) != list(range(len(sheets))):
         raise ValueError("stacking must be a permutation of the sectors")
-    sheets, folds = _cyclic_net(model)
-    level = [0] * m
+    level = [0] * len(sheets)
     for lvl, s in enumerate(stacking):
         level[s] = lvl
     for fold, label in zip(folds, mv):
@@ -153,12 +157,12 @@ class _Tables:
     straddles: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
-def _constraint_tables(sheets: list[_Sheet], folds: list[_Fold]) -> _Tables:
+def _constraint_tables(sheets: Sequence[_Sheet], folds: Sequence[_Fold]) -> _Tables:
     n = len(sheets)
     closing: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
     for fi, (p, q, _pos, _side) in enumerate(folds):
         # a valley puts the right sheet above the left one when the left
-        # sheet shows sector 0's face (see `_fold_wants_right_above`)
+        # sheet shows sheet 0's face (see `_fold_wants_right_above`)
         left_up = sheets[p][2] == 1
         closing[max(p, q)].append((fi, p, left_up) if q > p else (fi, q, not left_up))
     pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
@@ -174,7 +178,7 @@ def _constraint_tables(sheets: list[_Sheet], folds: list[_Fold]) -> _Tables:
     return _Tables(*(tuple(map(tuple, t)) for t in (closing, pairs, straddles)))
 
 
-def _search(tables: _Tables, labels: Sequence[MVLabel]) -> Optional[list[int]]:
+def _search(model: LayerModel, labels: Sequence[MVLabel]) -> Optional[list[int]]:
     """Insert sheets one by one into a growing stack, pruning as constraints
     complete. Violations are monotone in insertions (later sheets never
     reorder earlier ones), so pruning is sound and the search exhaustive.
@@ -185,6 +189,7 @@ def _search(tables: _Tables, labels: Sequence[MVLabel]) -> Optional[list[int]]:
     (b) and (c) entries of step j are checked, on integer levels that are
     kept up to date as sheet j moves up through its window.
     """
+    tables = model._tables
     pairs, straddles = tables.pairs, tables.straddles
     n = len(pairs)
     # windows[j]: (other sheet, whether sheet j must lie above it)
@@ -246,20 +251,22 @@ def _search(tables: _Tables, labels: Sequence[MVLabel]) -> Optional[list[int]]:
     return rec(1)
 
 
-def _find_stacking(
-    model: LayerModel, tables: _Tables, mv: MVAssignment
+def _stacking(
+    model: LayerModel, labels: Union[MVAssignment, Sequence[MVLabel]]
 ) -> Optional[tuple[int, ...]]:
-    found = _search(tables, mv)
+    """The one search driver: a witness stacking of the model under the
+    labels, or None. Every witness is re-checked against the constraints
+    themselves, which the search only reads through the model's tables."""
+    found = _search(model, labels)
     if found is None:
         return None
-    assert stacking_valid(model, mv, found)
+    assert stacking_valid(model, labels, found)
     return tuple(found)
 
 
 def find_stacking(v: AngleSequence, mv: MVAssignment) -> Optional[tuple[int, ...]]:
     """A witness stacking for the assignment, or None if there is none."""
-    model = fold_directions(v)
-    return _find_stacking(model, _constraint_tables(*_cyclic_net(model)), mv)
+    return _stacking(fold_directions(v), mv)
 
 
 def _within_one_turn(v: AngleSequence) -> None:
@@ -316,11 +323,7 @@ def enumerate_valid(v: AngleSequence) -> list[MVAssignment]:
     if not kawasaki(v):
         return []
     model = fold_directions(v)
-    tables = _constraint_tables(*_cyclic_net(model))
-    accepted = [
-        mv for mv in _maekawa_labelings(len(v))
-        if _find_stacking(model, tables, mv) is not None
-    ]
+    accepted = [mv for mv in _maekawa_labelings(len(v)) if _stacking(model, mv) is not None]
     # flipping every label reverses lexicographic order
     return accepted + [mv.flipped() for mv in reversed(accepted)]
 
@@ -343,43 +346,28 @@ def run_restricted_valid(
     span the whole folded stack, and the unfolded cone beyond them bulges
     away from the flat layers, so it imposes no ordering of its own.
     """
-    net = _restricted_net(v, run)
+    model = _restricted_net(v, run)
     label_list = list(labels.labels) if isinstance(labels, MVAssignment) else list(labels)
     if len(label_list) != run.k + 2:
         raise ValueError("need %d labels, got %d" % (run.k + 2, len(label_list)))
-    return _search(_constraint_tables(*net), [MVLabel(label) for label in label_list]) is not None
+    return _stacking(model, [MVLabel(label) for label in label_list]) is not None
 
 
-def _restricted_net(v: AngleSequence, run: RunCondition) -> tuple[list[_Sheet], list[_Fold]]:
+def _restricted_net(v: AngleSequence, run: RunCondition) -> LayerModel:
+    """Fold the run's k + 1 equal sectors between its two flanking flaps:
+    an open walk from minus the left flap, so the first fold lies at 0."""
     _within_one_turn(v)
     if run.k + 2 > DEFAULT_LIMIT:
         raise CapacityError(
             "%d creases exceed the exhaustive-search limit of %d"
             % (run.k + 2, DEFAULT_LIMIT)
         )
-    val = Fraction(v.cyclic(run.start))
+    val = v.cyclic(run.start)
     for j in range(run.k + 1):
         if v.cyclic(run.start + j) != val:
             raise ValueError("run sectors are not all equal in this sequence")
-    left_a = Fraction(v.cyclic(run.start - 1))
-    right_a = Fraction(v.cyclic(run.start + run.k + 1))
+    left_a = v.cyclic(run.start - 1)
+    right_a = v.cyclic(run.start + run.k + 1)
     if not (left_a > val and right_a > val):
         raise ValueError("restricted folding needs strictly larger flanking sectors")
-
-    k = run.k
-    sheets: list[_Sheet] = [(-left_a, Fraction(0), 1)]
-    positions = [Fraction(0)]
-    pos = Fraction(0)
-    direction = -1
-    for j in range(k + 1):
-        nxt = pos + direction * val
-        sheets.append((min(pos, nxt), max(pos, nxt), 1 if j % 2 == 1 else -1))
-        pos = nxt
-        positions.append(pos)
-        direction = -direction
-    end = pos + direction * right_a
-    sheets.append((min(pos, end), max(pos, end), 1 if k % 2 == 0 else -1))
-    folds: list[_Fold] = [
-        (jj, jj + 1, positions[jj], -1 if jj % 2 == 0 else 1) for jj in range(k + 2)
-    ]
-    return sheets, folds
+    return _walk(-left_a, [left_a] + [val] * (run.k + 1) + [right_a], closed=False)

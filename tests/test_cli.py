@@ -627,6 +627,17 @@ class TestCommands:
             code, _, err = run_cli(capsys, "enumerate", " ".join(["15"] * m))
             limit = "%d sectors exceed the exhaustive-search limit of 10" % m
             assert (code, err) == (1, "error: %s%s\n" % (limit, hint))
+        # a cone wider than one turn is refused by the oracle under the same
+        # rule: --fast lists the 2 assignments of "200 200", and would refuse
+        # the 4992288 of 24 x 20 (480 degrees)
+        code, _, err = run_cli(capsys, "enumerate", "200 200")
+        assert (code, err) == (
+            1, "error: layer analysis supports sector totals up to one full turn"
+               " (rerun with --fast)\n")
+        code, out, _ = run_cli(capsys, "enumerate", "--fast", "200 200", "--format", "json")
+        assert (code, json.loads(out)["count"]) == (0, 2)
+        code, _, err = run_cli(capsys, "enumerate", " ".join(["20"] * 24))
+        assert (code, err) == (1, "error: 24 sectors exceed the exhaustive-search limit of 10\n")
 
     @pytest.mark.parametrize(
         "per_size, message",

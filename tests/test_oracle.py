@@ -45,14 +45,29 @@ def brute_force_valid(seq):
 class TestFoldDirections:
     def test_square_vertex(self):
         model = fold_directions(SQUARE)
-        assert model.directions == (0, 90, 0, 90)
-        assert model.intervals == ((0, 90),) * 4
-        assert model.orientations == (1, -1, 1, -1)
+        assert model.sheets == ((0, 90, 1), (0, 90, -1), (0, 90, 1), (0, 90, -1))
+        assert model.folds == ((3, 0, 0, 1), (0, 1, 90, -1), (1, 2, 0, 1), (2, 3, 90, -1))
 
     def test_mirror_vertex_partial_sums(self):
         model = fold_directions(MIRROR)
-        assert model.directions == (0, 100, 20, 100)
-        assert model.intervals == ((0, 100), (20, 100), (20, 100), (0, 100))
+        assert model.sheets == ((0, 100, 1), (20, 100, -1), (20, 100, 1), (0, 100, -1))
+        assert model.folds == (
+            (3, 0, 0, 1), (0, 1, 100, -1), (1, 2, 20, 1), (2, 3, 100, -1))
+
+    def test_same_nets_as_the_reference_walks(self, corpus200):
+        stars = list(corpus200) + [v for seed in (10, 11, 12) for v in seeded_stars(seed)]
+        assert any(not v.is_flat for v in stars)
+        runs = 0
+        for v in stars:
+            model = fold_directions(v)
+            assert (list(model.sheets), list(model.folds)) == _reference_vertex_net(v), (
+                v.as_strings())
+            for run in find_runs(v):
+                model = oracle_module._restricted_net(v, run)
+                assert (list(model.sheets), list(model.folds)) == _reference_run_net(v, run), (
+                    v.as_strings(), run)
+                runs += 1
+        assert runs > 250
 
     def test_closure_failure(self):
         with pytest.raises(NotFlatFoldableError):
@@ -221,23 +236,91 @@ class TestRunRestricted:
         with pytest.raises(ValueError):
             run_restricted_valid(MIRROR, run, (MVLabel.MOUNTAIN,))
 
+    def test_net_on_mirror_vertex(self):
+        # flap 100 from -100, the two 80s back and forth, then flap 100
+        (run,) = find_runs(MIRROR)
+        model = oracle_module._restricted_net(MIRROR, run)
+        assert model.sheets == ((-100, 0, 1), (-80, 0, -1), (-80, 0, 1), (-100, 0, -1))
+        assert model.folds == ((0, 1, 0, -1), (1, 2, -80, 1), (2, 3, 0, -1))
+
+    def test_search_agrees_with_exhaustive_permutations(self):
+        # stacking_valid takes a run's net too: one label per fold, and a
+        # permutation of the run's sectors and its two flaps
+        (run,) = find_runs(MIRROR)
+        model = oracle_module._restricted_net(MIRROR, run)
+        for combo in itertools.product(tuple(MVLabel), repeat=3):
+            exhaustive = any(
+                stacking_valid(model, combo, perm) for perm in itertools.permutations(range(4))
+            )
+            assert run_restricted_valid(MIRROR, run, combo) == exhaustive
+        with pytest.raises(ValueError):
+            stacking_valid(model, MVAssignment.from_string("MVMV"), (0, 1, 2, 3))
+
+    def test_witnesses_are_checked(self, monkeypatch):
+        calls = []
+        real = oracle_module.stacking_valid
+        monkeypatch.setattr(
+            oracle_module,
+            "stacking_valid",
+            lambda model, mv, stacking: calls.append(list(mv)) or real(model, mv, stacking),
+        )
+        (run,) = find_runs(MIRROR)
+        M, V = MVLabel.MOUNTAIN, MVLabel.VALLEY
+        assert run_restricted_valid(MIRROR, run, (M, V, M))
+        assert calls == [[M, V, M]]
+        calls.clear()
+        assert not run_restricted_valid(MIRROR, run, (M, M, M))
+        assert calls == []
+
+
+# The nets as they were built before the one walk. A whole vertex: partial
+# sums of the sectors, alternating in sign, and one fold per crease, fold j in
+# front of sector j. A run: the left flap from minus its width to 0, then the
+# run's sectors and the right flap, walked by hand.
+
+
+def _reference_vertex_net(v):
+    m = len(v)
+    pos = [Fraction(0)]
+    for j, a in enumerate(v.angles):
+        pos.append(pos[-1] + a if j % 2 == 0 else pos[-1] - a)
+    sheets = [
+        (min(pos[j], pos[j + 1]), max(pos[j], pos[j + 1]), 1 if j % 2 == 0 else -1)
+        for j in range(m)
+    ]
+    folds = [((j - 1) % m, j, pos[j], 1 if j % 2 == 0 else -1) for j in range(m)]
+    return sheets, folds
+
+
+def _reference_run_net(v, run):
+    val = Fraction(v.cyclic(run.start))
+    left_a = Fraction(v.cyclic(run.start - 1))
+    right_a = Fraction(v.cyclic(run.start + run.k + 1))
+    k = run.k
+    sheets = [(-left_a, Fraction(0), 1)]
+    positions = [Fraction(0)]
+    pos = Fraction(0)
+    direction = -1
+    for j in range(k + 1):
+        nxt = pos + direction * val
+        sheets.append((min(pos, nxt), max(pos, nxt), 1 if j % 2 == 1 else -1))
+        pos = nxt
+        positions.append(pos)
+        direction = -direction
+    end = pos + direction * right_a
+    sheets.append((min(pos, end), max(pos, end), 1 if k % 2 == 0 else -1))
+    folds = [(jj, jj + 1, positions[jj], -1 if jj % 2 == 0 else 1) for jj in range(k + 2)]
+    return sheets, folds
+
 
 # The layer search as it ran before the (b)/(c) tables: every node rebuilds a
 # level dict and rescans the completed folds and the placed sheets, comparing
 # `Fraction` positions. A fold here is (left, right, position, side, label).
 
 
-def _reference_cyclic_net(model, mv):
-    m = len(model.orientations)
-    sheets = [
-        (model.intervals[j][0], model.intervals[j][1], model.orientations[j])
-        for j in range(m)
-    ]
-    folds = [
-        ((j - 1) % m, j, model.directions[j], 1 if j % 2 == 0 else -1, mv[j])
-        for j in range(m)
-    ]
-    return sheets, folds
+def _reference_cyclic_net(v, mv):
+    sheets, folds = _reference_vertex_net(v)
+    return sheets, [fold + (mv[j],) for j, fold in enumerate(folds)]
 
 
 def _reference_wants_right_above(sheets, fold):
@@ -337,11 +420,10 @@ class TestReferenceSearch:
         assert any(not v.is_flat for v in stars)
         searched = found = 0
         for v in stars:
-            model = fold_directions(v)
             for mv in all_assignments(len(v)):
                 if not maekawa_check(mv):
                     continue
-                reference = reference_search(*_reference_cyclic_net(model, mv))
+                reference = reference_search(*_reference_cyclic_net(v, mv))
                 witness = find_stacking(v, mv)
                 assert witness == (None if reference is None else tuple(reference)), (
                     v.as_strings(), str(mv))
@@ -353,13 +435,13 @@ class TestReferenceSearch:
         searched = found = 0
         for v in corpus200:
             for run in find_runs(v):
-                sheets, folds = oracle_module._restricted_net(v, run)
-                tables = oracle_module._constraint_tables(sheets, folds)
+                model = oracle_module._restricted_net(v, run)
+                sheets, folds = _reference_run_net(v, run)
                 for labels in itertools.product(tuple(MVLabel), repeat=run.k + 2):
                     reference = reference_search(
                         sheets, [fold + (label,) for fold, label in zip(folds, labels)]
                     )
-                    witness = oracle_module._search(tables, labels)
+                    witness = oracle_module._search(model, labels)
                     assert witness == reference, (v.as_strings(), run, labels)
                     assert run_restricted_valid(v, run, labels) == (witness is not None)
                     searched += 1
