@@ -183,9 +183,7 @@ def parse_pattern(path: str) -> CreasePattern:
                 % (len(data["assignment"]), len(creases))
             )
         try:
-            assignment = MVAssignment(
-                tuple(MVLabel(str(l).upper()) for l in data["assignment"])
-            )
+            assignment = MVAssignment(tuple(str(l).upper() for l in data["assignment"]))
         except ValueError:
             raise SchemaError("assignment labels must be 'M' or 'V'") from None
     try:
@@ -415,11 +413,11 @@ def cmd_enumerate(args) -> Result:
             valid = [str(mv) for mv in oracle.enumerate_valid(v)]
         except (CapacityError, UnsupportedError) as exc:
             # --fast lists nothing for a star that does not close, and at
-            # least 2^(m/2) assignments for one that does: a large star is
+            # least the lower bound for one that does: a large star is
             # refused without counting it. A cone wider than one turn is
             # beyond the oracle but not beyond the recursion
             if vxmod.kawasaki(v) and (
-                2 ** (len(v) // 2) > vxmod.ENUMERATE_LIMIT
+                vxmod.bounds(v)[0] > vxmod.ENUMERATE_LIMIT
                 or vxmod.count_mv(v).count > vxmod.ENUMERATE_LIMIT
             ):
                 raise

@@ -4,12 +4,16 @@ Coordinates and sector angles are rational numbers (`fractions.Fraction`);
 nothing here touches floating point. Angle equality therefore means exact
 equality, which the counting recursion depends on: it is discontinuous in
 whether two sectors are equal, so a tolerance would silently change counts.
+
+Each value is checked once, where it is made: sectors by `AngleSequence`,
+labels by `MVAssignment`, and patterns by `CreasePattern.build`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -109,7 +113,8 @@ _LABELS = {"M": M, "V": V}
 
 @dataclass(frozen=True)
 class MVAssignment:
-    """Mountain/valley labels, one per crease, in crease order."""
+    """Mountain/valley labels, one per crease, in crease order. The one
+    label check: anything but ``"M"`` or ``"V"`` raises `ValueError`."""
 
     labels: tuple[MVLabel, ...]
 
@@ -123,7 +128,7 @@ class MVAssignment:
     @classmethod
     def from_string(cls, text: str) -> "MVAssignment":
         try:
-            return cls(tuple(MVLabel(ch) for ch in text.strip().upper()))
+            return cls(text.strip().upper())
         except ValueError:
             raise ValueError("assignment strings may only contain M and V: %r" % text) from None
 
@@ -286,13 +291,15 @@ def _point_in_polygon(p: Point, poly: Sequence[Point]) -> bool:
 # crease patterns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CreasePattern:
     """A planar straight-line crease graph with a simple polygon border.
 
     ``split_vertices`` tags the degree-2 interior vertices introduced by
     `normalize_pattern` so parity rules can treat their two collinear
-    creases as one logical crease.
+    creases as one logical crease. `build` is the one way in, and
+    `normalize_pattern` and `with_assignment` derive from a built pattern;
+    ``CreasePattern(...)`` and ``dataclasses.replace`` raise `TypeError`.
     """
 
     vertices: tuple[Vertex, ...]
@@ -300,15 +307,6 @@ class CreasePattern:
     boundary: tuple[int, ...]
     assignment: Optional[MVAssignment] = None
     split_vertices: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(
-            self, "creases", tuple((int(i), int(j)) for i, j in self.creases)
-        )
-        object.__setattr__(self, "boundary", tuple(int(i) for i in self.boundary))
-        object.__setattr__(self, "split_vertices", frozenset(self.split_vertices))
-        _validate_pattern(self)
 
     @classmethod
     def build(
@@ -319,28 +317,27 @@ class CreasePattern:
         assignment: Union[MVAssignment, str, Sequence[str], None] = None,
         split_vertices: Iterable[int] = (),
     ) -> "CreasePattern":
-        """Construct from raw coordinates, deriving the boundary flags."""
+        """Construct from raw coordinates, deriving the border flags, and
+        validate the result once."""
         pts = [(Fraction(x), Fraction(y)) for x, y in points]
-        boundary = tuple(int(i) for i in boundary)
+        creases = tuple((_index(i, "crease"), _index(j, "crease")) for i, j in creases)
+        boundary = tuple(_index(i, "border") for i in boundary)
+        split = frozenset(_index(i, "split tag") for i in split_vertices)
         geometry = _integer_geometry(pts, boundary)
-        vertices = tuple(Vertex(x, y, flag) for (x, y), flag in zip(pts, geometry[1]))
         if isinstance(assignment, str):
             assignment = MVAssignment.from_string(assignment)
         elif assignment is not None and not isinstance(assignment, MVAssignment):
-            assignment = MVAssignment(tuple(MVLabel(l) for l in assignment))
-        p = cls.__new__(cls)
-        p.__dict__["_geometry"] = geometry  # validation reuses the flags derived here
-        p.__init__(vertices, creases, boundary, assignment, frozenset(split_vertices))
+            assignment = MVAssignment(tuple(assignment))
+        vertices = tuple(Vertex(x, y, flag) for (x, y), flag in zip(pts, geometry[1]))
+        p = _assemble(vertices=vertices, creases=creases, boundary=boundary,
+                      assignment=assignment, split_vertices=split, _geometry=geometry)
+        _validate_pattern(p)
         return p
 
     def with_assignment(self, assignment: MVAssignment) -> "CreasePattern":
         """The same pattern relabelled; checks the label count, not the geometry."""
         _check_label_count(assignment, self.creases)
         return _assemble(**{**self.__dict__, "assignment": assignment})
-
-    @functools.cached_property
-    def _geometry(self) -> tuple[list, list, int]:
-        return _integer_geometry([v.point for v in self.vertices], self.boundary)
 
     @functools.cached_property
     def _incidence(self) -> list[list[int]]:
@@ -367,6 +364,13 @@ class CreasePattern:
 
     def interior_vertex_ids(self) -> list[int]:
         return [i for i, vert in enumerate(self.vertices) if not vert.on_boundary]
+
+
+def _index(value, field: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise StructuralError("%s index must be an integer, got %r" % (field, value)) from None
 
 
 def _border_edges(
@@ -431,10 +435,8 @@ def _validate_pattern(p: CreasePattern) -> None:
             elif _segments_touch(a, b, c, d):
                 raise PlanarityError("border edges cross")
 
-    # boundary flags must match the geometry; everything else strictly inside
-    for idx, vert in enumerate(p.vertices):
-        if flags[idx] != vert.on_boundary:
-            raise StructuralError("vertex %d has a wrong border flag" % idx)
+    # every vertex off the border lies strictly inside it
+    for idx in range(n):
         if not flags[idx] and not _point_in_polygon(pts[idx], bpoly):
             raise StructuralError("vertex %d lies outside the paper" % idx)
 
@@ -543,10 +545,11 @@ def normalize_pattern(p: CreasePattern) -> CreasePattern:
 
 
 def _assemble(**fields) -> CreasePattern:
-    """A `CreasePattern` from coerced fields known to be valid, skipping
-    `_validate_pattern`. `normalize_pattern` needs no check: the halves of a
-    validated crease keep every planarity property of the whole, and its
-    midpoint is strictly inside the paper and on no other crease or vertex."""
+    """A `CreasePattern` from coerced fields and their ``_geometry``, skipping
+    `_validate_pattern`, which `build` runs once. `normalize_pattern` needs no
+    check: the halves of a validated crease keep every planarity property of
+    the whole, and its midpoint is strictly inside the paper and on no other
+    crease or vertex."""
     p = object.__new__(CreasePattern)
     p.__dict__.update(fields)
     return p

@@ -347,10 +347,10 @@ def run_restricted_valid(
     away from the flat layers, so it imposes no ordering of its own.
     """
     model = _restricted_net(v, run)
-    label_list = list(labels.labels) if isinstance(labels, MVAssignment) else list(labels)
-    if len(label_list) != run.k + 2:
-        raise ValueError("need %d labels, got %d" % (run.k + 2, len(label_list)))
-    return _stacking(model, [MVLabel(label) for label in label_list]) is not None
+    mv = labels if isinstance(labels, MVAssignment) else MVAssignment(tuple(labels))
+    if len(mv) != run.k + 2:
+        raise ValueError("need %d labels, got %d" % (run.k + 2, len(mv)))
+    return _stacking(model, mv) is not None
 
 
 def _restricted_net(v: AngleSequence, run: RunCondition) -> LayerModel:

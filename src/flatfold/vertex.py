@@ -8,18 +8,20 @@ The closure test, the counting recursion and crimping only add, subtract and
 compare sectors, so they run on the star's integer view
 (`AngleSequence.scaled`): every sector times the LCM of the denominators.
 That keeps every equality, order and closure test exact.
+
+A `RunCondition` is the recursion's own run, ``(start, k, m)``; its creases
+and the tallies the equal-angle run rule allows are derived from those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
 from math import comb
 from operator import ne
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .core import AngleSequence, CountResult, MVAssignment, MVLabel, ReductionStep
+from .core import AngleSequence, CountResult, MVAssignment, ReductionStep
 from .errors import CapacityError, NotFlatFoldableError, ParityError
 
 
@@ -51,34 +53,35 @@ def maekawa_check(mv: MVAssignment) -> bool:
     return abs(mv.tally) == 2
 
 
-@dataclass(frozen=True)
-class RunCondition:
+class RunCondition(NamedTuple):
     """A block of equal consecutive sectors and the parity it forces.
 
-    Sectors ``start .. start + k`` (cyclic) all carry the same angle; the
-    creases bounding and interleaving them are ``start .. start + k + 1``.
+    Sectors ``start .. start + k`` (cyclic) of a star of ``m`` creases all
+    carry the same angle, and both sectors flanking them are strictly larger;
+    the creases bounding and interleaving them are ``start .. start + k + 1``.
     A labelling of those creases folds the block flat in isolation exactly
-    when its mountain-valley tally lies in ``allowed_tallies``.
+    when its mountain-valley tally lies in ``allowed_tallies``: 0 for an odd
+    number of sectors, +-1 for an even number.
     """
 
     start: int
     k: int
-    creases: tuple[int, ...]
-    allowed_tallies: frozenset[int]
+    m: int
 
     @property
     def length(self) -> int:
         return self.k + 1
 
+    @property
+    def creases(self) -> tuple[int, ...]:
+        return tuple((self.start + j) % self.m for j in range(self.k + 2))
 
-class _Run(NamedTuple):
-    """Sectors ``start .. start + k`` (cyclic) of an integer sector list."""
-
-    start: int
-    k: int
+    @property
+    def allowed_tallies(self) -> frozenset[int]:
+        return frozenset({0}) if self.k % 2 == 0 else frozenset({-1, 1})
 
 
-def _runs(vals: Sequence[int]) -> list[_Run]:
+def _runs(vals: Sequence[int]) -> list[RunCondition]:
     """The maximal equal runs of ``vals`` whose cyclic neighbours are
     strictly larger, by start index; empty exactly when all are equal."""
     m = len(vals)
@@ -87,7 +90,7 @@ def _runs(vals: Sequence[int]) -> list[_Run]:
     for s, nxt in zip(starts, starts[1:] + starts[:1]):
         val = vals[s]
         if vals[s - 1] > val and vals[nxt] > val:
-            runs.append(_Run(s, (nxt - s) % m - 1))
+            runs.append(RunCondition(s, (nxt - s) % m - 1, m))
     return runs
 
 
@@ -97,30 +100,18 @@ def find_runs(v: AngleSequence) -> list[RunCondition]:
     Wrap-around runs are reported with their true (cyclic) start index.
     Returns an empty list exactly when all sectors are equal.
     """
-    m = len(v)
-    return [
-        RunCondition(
-            start=s,
-            k=k,
-            creases=tuple((s + j) % m for j in range(k + 2)),
-            allowed_tallies=frozenset({0}) if k % 2 == 0 else frozenset({-1, 1}),
-        )
-        for s, k in _runs(v.scaled[0])
-    ]
+    return _runs(v.scaled[0])
 
 
 def _check_run_against(v: AngleSequence, run: RunCondition) -> None:
     m = len(v)
-    if not 0 <= run.start < m:
-        raise ValueError("run start %d out of range" % run.start)
-    if run.k < 0 or run.k > m - 2:
-        raise ValueError("run of %d sectors does not fit %d creases" % (run.k + 1, m))
+    if run.m != m or not 0 <= run.start < m or not 0 <= run.k <= m - 2:
+        raise ValueError("run %r does not fit a star of %d creases" % (tuple(run), m))
     val = v.cyclic(run.start)
     if any(v.cyclic(run.start + j) != val for j in range(run.k + 1)):
         raise ValueError("run sectors are not all equal in this sequence")
-    expected = tuple((run.start + j) % m for j in range(run.k + 2))
-    if run.creases != expected:
-        raise ValueError("run creases do not match its start and length")
+    if not (v.cyclic(run.start - 1) > val and v.cyclic(run.start + run.k + 1) > val):
+        raise ValueError("restricted folding needs strictly larger flanking sectors")
 
 
 def run_validity(v: AngleSequence, run: RunCondition, mv: MVAssignment) -> bool:
@@ -133,16 +124,13 @@ def run_validity(v: AngleSequence, run: RunCondition, mv: MVAssignment) -> bool:
     """
     _check_run_against(v, run)
     if len(mv) == len(v):
-        labels = [mv[c] for c in run.creases]
-    elif len(mv) == run.k + 2:
-        labels = list(mv.labels)
-    else:
+        mv = MVAssignment(tuple(mv[c] for c in run.creases))
+    elif len(mv) != run.k + 2:
         raise ValueError(
             "assignment must label all %d creases or the run's %d"
             % (len(v), run.k + 2)
         )
-    t = sum(1 if l is MVLabel.MOUNTAIN else -1 for l in labels)
-    return t in run.allowed_tallies
+    return mv.tally in run.allowed_tallies
 
 
 def crimp_validity(v: AngleSequence, mv: MVAssignment) -> bool:
@@ -197,7 +185,7 @@ def bounds(v: AngleSequence) -> tuple[int, int]:
     return (2 ** n, 2 * comb(m, n - 1))
 
 
-def _default_pick(seq: list[int], runs: list[_Run]) -> _Run:
+def _default_pick(seq: list[int], runs: list[RunCondition]) -> RunCondition:
     # smallest angle first, then smallest start index: deterministic traces
     return min(runs, key=lambda r: (seq[r.start], r.start))
 
@@ -224,7 +212,7 @@ def _reductions(ints: Sequence[int], pick) -> Iterator[tuple[int, int, list[int]
         runs = _runs(current)
         if not runs:
             return
-        start, k = pick(current, runs)
+        start, k, _ = pick(current, runs)
         # rotate the run's left neighbour to index 0, so the run is s[1 .. k + 1]
         rot = (start - 1) % len(current)
         s = current[rot:] + current[:rot]
@@ -294,11 +282,18 @@ def enumerate_mv(v: AngleSequence) -> list[MVAssignment]:
     or -2, and the virtual creases are then expanded, the last step's first.
 
     The count is known from the replay before any labeling is built: above
-    `ENUMERATE_LIMIT` it raises `CapacityError`.
+    `ENUMERATE_LIMIT` it raises `CapacityError`. A star whose lower bound
+    (see `bounds`) is already above the limit is refused before the replay.
     """
     ints = v.scaled[0]
     if not _closes(ints):
         raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
+    least = bounds(v)[0]
+    if least > ENUMERATE_LIMIT:
+        raise CapacityError(
+            "at least %d valid assignments exceed the listing limit of %d"
+            % (least, ENUMERATE_LIMIT)
+        )
     m = len(ints)
     ids = list(range(m))
     steps: list[tuple[list[int], Optional[int]]] = []  # run creases, virtual crease

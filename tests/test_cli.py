@@ -639,6 +639,18 @@ class TestCommands:
         code, _, err = run_cli(capsys, "enumerate", " ".join(["20"] * 24))
         assert (code, err) == (1, "error: 24 sectors exceed the exhaustive-search limit of 10\n")
 
+    def test_enumerate_fast_refuses_from_the_size(self, capsys, monkeypatch):
+        # a closing star of 34 creases has at least 2^17 valid assignments:
+        # neither --fast nor the oracle's hint rule replays the recursion
+        monkeypatch.setattr(vertex, "_reductions", None)
+        star = " ".join(["10"] * 34)
+        code, out, err = run_cli(capsys, "enumerate", "--fast", star)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: at least 131072 valid assignments exceed the listing limit of 100000\n")
+        code, _, err = run_cli(capsys, "enumerate", star)
+        assert (code, err) == (1, "error: 34 sectors exceed the exhaustive-search limit of 10\n")
+
     @pytest.mark.parametrize(
         "per_size, message",
         [

@@ -179,9 +179,8 @@ class TestNormalizePattern:
     def test_matches_full_rebuild_on_chain_patterns(self, seed, monkeypatch):
         rng = random.Random(seed)
         raw = unsplit_chain_pattern(rng, rng.randint(1, 5), monkeypatch)
-        labelled = dataclasses.replace(
-            raw,
-            assignment=MVAssignment(tuple(rng.choice("MV") for _ in raw.creases)),
+        labelled = raw.with_assignment(
+            MVAssignment(tuple(rng.choice("MV") for _ in raw.creases))
         )
         for p in (raw, labelled):
             q = normalize_pattern(p)
@@ -274,6 +273,30 @@ class TestPatternValidation:
     def test_zero_length_border_edge(self):
         with pytest.raises(StructuralError):
             CreasePattern.build(square() + [(4, 4)], [], boundary=(0, 1, 2, 4, 3))
+
+    @pytest.mark.parametrize(
+        "creases, boundary, split, field",
+        [
+            ([(4.9, 1)], (0, 1, 2, 3), (), "crease"),
+            ([(4, 1)], (0, 1.7, 2, 3), (), "border"),
+            ([(4, 1)], (0, 1, 2, 3), (4.2,), "split tag"),
+        ],
+        ids=["crease", "border", "split-tag"],
+    )
+    def test_non_integer_index_is_refused(self, creases, boundary, split, field):
+        # refused by name: not truncated (4.9 to 4), and not a bare TypeError
+        with pytest.raises(StructuralError, match="^%s index must be an integer" % field):
+            CreasePattern.build(square() + [(2, 2)], creases, boundary, split_vertices=split)
+
+    def test_build_is_the_only_constructor(self):
+        p = CreasePattern.build(square() + [(2, 2)], [(4, 1)], boundary=(0, 1, 2, 3))
+        with pytest.raises(TypeError):
+            CreasePattern(p.vertices, p.creases, p.boundary)
+        with pytest.raises(TypeError):
+            dataclasses.replace(p, assignment=MVAssignment.from_string("M"))
+        assert p.with_assignment(MVAssignment.from_string("M")).assignment == (
+            MVAssignment.from_string("M")
+        )
 
 
 class TestVertexStar:

@@ -239,6 +239,52 @@ def test_enumerate_limit_is_checked_before_listing(monkeypatch):
         enumerate_mv(v)
 
 
+def test_enumerate_refuses_a_large_star_from_its_size(monkeypatch):
+    # a closing star of 34 creases has at least 2^17 = 131072 valid
+    # assignments, so it is refused before any reduction step
+    def replayed(*args):
+        raise AssertionError("the recursion was replayed")
+
+    monkeypatch.setattr(vertex, "_reductions", replayed)
+    message = "^at least 131072 valid assignments exceed the listing limit of 100000$"
+    for v in seeded_stars((34,), 14) + [equal_star(34, 360), equal_star(34, 200)]:
+        with pytest.raises(CapacityError, match=message):
+            enumerate_mv(v)
+
+
+def test_lower_bound_holds_on_seeded_stars():
+    # the size-only refusal above rests on count >= 2^(m/2), cones included
+    for v in seeded_stars(range(2, 41, 2), 15):
+        assert count_mv(v).count >= vertex.bounds(v)[0], v
+
+
+def test_runs_derive_the_fields_the_constructor_stored(corpus200):
+    """Every run the recursion sees has the creases and tallies that
+    `RunCondition` used to store, from its start, length and star size."""
+    seen = []
+
+    def check(seq, runs):
+        for run in runs:
+            start, k, m = run
+            assert m == len(seq)
+            assert run.creases == tuple((start + j) % m for j in range(k + 2))
+            assert run.allowed_tallies == (frozenset({0}) if k % 2 == 0 else frozenset({-1, 1}))
+            assert run.length == k + 1
+        seen.extend(runs)
+
+    def checked_pick(seq, runs):
+        check(seq, runs)
+        return vertex._default_pick(seq, runs)
+
+    stars = list(corpus200) + seeded_stars(range(4, 41, 2), 16)
+    assert any(not v.is_flat for v in stars)
+    for v in stars:
+        check(v.angles, vertex.find_runs(v))
+        if vertex.kawasaki(v):
+            count_mv(v, _pick=checked_pick)
+    assert len(seen) > 1000
+
+
 def test_enumerate_needs_closure():
     for v in (AngleSequence((100, 80, 90, 90)), AngleSequence((90, 90, 180))):
         with pytest.raises(NotFlatFoldableError):

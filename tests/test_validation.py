@@ -360,18 +360,6 @@ def test_same_rejections_and_messages():
     assert AIMED_AT <= seen
 
 
-def test_same_verdict_on_a_wrong_border_flag():
-    points, creases, border = lattice(3, 2)
-    pts = mapped(points, TRANSFORMS[1])
-    good = CreasePattern.build(pts, creases, border)
-    for k in (0, 5):  # a corner and an interior vertex
-        vertices = list(good.vertices)
-        vertices[k] = Vertex(vertices[k].x, vertices[k].y, not vertices[k].on_boundary)
-        new = outcome(lambda: CreasePattern(tuple(vertices), creases, border))
-        ref = outcome(lambda: reference_validate(unvalidated(vertices, creases, border)))
-        assert new == ref == (StructuralError, "vertex %d has a wrong border flag" % k)
-
-
 def counted(calls, name, fn):
     def wrapper(*args):
         calls[name] += 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flatfold.core import AngleSequence, MVAssignment, MVLabel
 from flatfold.errors import NotFlatFoldableError, ParityError
+from flatfold.oracle import run_restricted_valid
 from flatfold.vertex import (
     RunCondition,
     alternating_sum,
@@ -154,9 +155,26 @@ class TestRunValidity:
 
     def test_inconsistent_run_raises(self):
         v = AngleSequence((100, 80, 80, 100))
-        bogus = RunCondition(start=0, k=1, creases=(0, 1, 2), allowed_tallies=frozenset({-1, 1}))
+        bogus = RunCondition(start=0, k=1, m=4)
         with pytest.raises(ValueError):
             run_validity(v, bogus, MVAssignment.from_string("MVM"))
+
+    def test_run_of_another_star_raises(self):
+        (run,) = find_runs(AngleSequence((100, 80, 80, 100)))
+        v = AngleSequence((100, 80, 80, 100, 50, 50))  # the same sectors 0..3
+        with pytest.raises(ValueError, match=r"run \(1, 1, 4\) does not fit a star of 6 creases"):
+            run_validity(v, run, MVAssignment.from_string("MVM"))
+
+    def test_run_needs_strictly_larger_flanks(self):
+        # sector 1 alone: its right neighbour is equal, so the run rule does
+        # not cover it, and neither decider gives a verdict
+        v = AngleSequence((100, 80, 80, 100))
+        lone = RunCondition(start=1, k=0, m=4)
+        message = "restricted folding needs strictly larger flanking sectors"
+        with pytest.raises(ValueError, match=message):
+            run_validity(v, lone, MVAssignment.from_string("VMVM"))
+        with pytest.raises(ValueError, match=message):
+            run_restricted_valid(v, lone, MVAssignment.from_string("MV"))
 
     def test_wrong_label_count_raises(self):
         v = AngleSequence((100, 80, 80, 100))
