@@ -356,6 +356,9 @@ def run_restricted_valid(
 def _restricted_net(v: AngleSequence, run: RunCondition) -> LayerModel:
     """Fold the run's k + 1 equal sectors between its two flanking flaps:
     an open walk from minus the left flap, so the first fold lies at 0."""
+    m = len(v)
+    if run.m != m or not 0 <= run.start < m or not 0 <= run.k <= m - 2:
+        raise ValueError("run %r does not fit a star of %d creases" % (tuple(run), m))
     _within_one_turn(v)
     if run.k + 2 > DEFAULT_LIMIT:
         raise CapacityError(

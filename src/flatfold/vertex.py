@@ -16,7 +16,7 @@ and the tallies the equal-angle run rule allows are derived from those.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from math import comb
 from operator import ne
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -185,9 +185,27 @@ def bounds(v: AngleSequence) -> tuple[int, int]:
     return (2 ** n, 2 * comb(m, n - 1))
 
 
-def _default_pick(seq: list[int], runs: list[RunCondition]) -> RunCondition:
-    # smallest angle first, then smallest start index: deterministic traces
-    return min(runs, key=lambda r: (seq[r.start], r.start))
+def _default_pick(seq: list[int]) -> RunCondition:
+    """The run of smallest sector, then smallest start: the order every trace
+    follows. Every maximal run of the smallest sector has strictly larger
+    neighbours, so the first of them is that run; C-level scans find it."""
+    m = len(seq)
+    lo = min(seq)
+    start = seq.index(lo)
+    if start == 0 and seq[-1] == lo:
+        # index 0 lies in a run that wraps past the end and so starts last:
+        # the first run starts after it
+        start = seq.index(lo, _first_other(seq, lo, 0))
+    end = _first_other(seq, lo, start)
+    if end == m:
+        end += _first_other(seq, lo, 0)
+    return RunCondition(start, end - start - 1, m)
+
+
+def _first_other(seq: list[int], lo: int, i: int) -> int:
+    """The first index from ``i`` on whose sector is not ``lo``, or ``len(seq)``."""
+    m = len(seq)
+    return next(compress(range(i, m), map(lo.__ne__, islice(seq, i, None))), m)
 
 
 def _factor(k: int) -> int:
@@ -203,16 +221,14 @@ def _base(m: int) -> int:
 
 def _reductions(ints: Sequence[int], pick) -> Iterator[tuple[int, int, list[int]]]:
     """The steps of the counting recursion on a closing integer star, as
-    ``(start, k, residual)``: the picked run is sectors ``start .. start +
-    k``. The last residual, or the star itself if there is no step, has all
-    sectors equal.
+    ``(start, k, residual)``: ``pick(seq)`` returns the `RunCondition` to
+    reduce of a star whose sectors are not all equal, sectors ``start ..
+    start + k``. The last residual, or the star itself if there is no step,
+    has all sectors equal.
     """
     current = list(ints)
-    while True:
-        runs = _runs(current)
-        if not runs:
-            return
-        start, k, _ = pick(current, runs)
+    while current.count(current[0]) < len(current):
+        start, k, _ = pick(current)
         # rotate the run's left neighbour to index 0, so the run is s[1 .. k + 1]
         rot = (start - 1) % len(current)
         s = current[rot:] + current[:rot]

@@ -3,11 +3,14 @@ import os
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from flatfold import core, oracle, vertex
-from flatfold.cli import build_parser, emit_svg, main, parse_angles, parse_pattern
+from flatfold.cli import _json, build_parser, emit_svg, main, parse_angles, parse_pattern
 from flatfold.core import AngleSequence, CreasePattern, normalize_pattern
 from flatfold.errors import ParseError, PlanarityError, SchemaError
 from flatfold.pattern import curve_around_vertex
@@ -237,6 +240,36 @@ class TestEmitSvg:
         emit_svg(self.pattern("MMMV"), str(a))
         emit_svg(self.pattern("MMMV"), str(b))
         assert a.read_text() == b.read_text()
+
+
+_STRINGS = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t", "é", "\u2028", "😀", "1079/3"])
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=False, allow_infinity=False) | _STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.lists(_STRINGS)
+    | st.dictionaries(_STRINGS, inner),
+    max_leaves=40,
+)
+
+
+class TestJsonRenderer:
+    """`_json` is ``json.dumps(indent=2, sort_keys=True)``, byte for byte."""
+
+    @given(_JSON_VALUES)
+    @example([True, 1, False, 0, "1", None, 1.5, -(2**100), [], {}])
+    @example({"b": ["1/3", "1/3", "é"], "a": [["x", 2], "x"], "": {"z": [], "y": {}}})
+    def test_matches_the_indenting_encoder(self, value):
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_rerenders_every_golden_report(self):
+        paths = sorted((Path(__file__).parent / "data" / "golden").glob("*.json"))
+        assert len(paths) >= 10
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert _json(json.loads(text)) + "\n" == text, path.name
 
 
 def run_cli(capsys, *argv):

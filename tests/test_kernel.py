@@ -272,9 +272,9 @@ def test_runs_derive_the_fields_the_constructor_stored(corpus200):
             assert run.length == k + 1
         seen.extend(runs)
 
-    def checked_pick(seq, runs):
-        check(seq, runs)
-        return vertex._default_pick(seq, runs)
+    def checked_pick(seq):
+        check(seq, vertex._runs(seq))
+        return vertex._default_pick(seq)
 
     stars = list(corpus200) + seeded_stars(range(4, 41, 2), 16)
     assert any(not v.is_flat for v in stars)
@@ -283,6 +283,47 @@ def test_runs_derive_the_fields_the_constructor_stored(corpus200):
         if vertex.kawasaki(v):
             count_mv(v, _pick=checked_pick)
     assert len(seen) > 1000
+
+
+def _first_smallest_run(seq):
+    return min(vertex._runs(seq), key=lambda r: (seq[r.start], r.start))
+
+
+def test_default_pick_is_the_first_run_of_the_smallest_sector(corpus200):
+    """The pick's scan for the smallest sector finds the run that a minimum
+    over all runs finds, on every star the recursion steps through."""
+    picked = []
+
+    def compared_pick(seq):
+        run = vertex._default_pick(seq)
+        assert run == _first_smallest_run(seq), seq
+        picked.append(run)
+        return run
+
+    stars = list(corpus200) + seeded_stars(range(4, 41, 2), 16)
+    for v in stars:
+        ints = list(v.scaled[0])
+        if len(set(ints)) > 1:
+            compared_pick(ints)
+        if vertex.kawasaki(v):
+            count_mv(v, _pick=compared_pick)
+    assert len(picked) > 1000
+    assert any(run.start + run.k >= run.m for run in picked)  # a wrapping run
+
+
+@pytest.mark.parametrize(
+    "seq, run",
+    [
+        ([1, 1, 5, 3, 4, 1], (5, 2)),  # the smallest sector's run wraps past index 0
+        ([1, 1, 5, 1, 4, 1], (3, 0)),  # ... and another run of it starts earlier
+        ([4, 1, 1, 5, 1, 3], (1, 1)),  # two separate runs of the smallest sector
+        ([4, 7, 6, 5, 9, 2], (5, 0)),  # the smallest sector only at the last index
+        ([2, 7, 6, 5, 9, 8], (0, 0)),  # ... and only at the first
+    ],
+)
+def test_default_pick_hand_cases(seq, run):
+    assert vertex._default_pick(seq) == vertex.RunCondition(*run, len(seq))
+    assert vertex._default_pick(seq) == _first_smallest_run(seq)
 
 
 def test_enumerate_needs_closure():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from flatfold.oracle import (
     stacking_valid,
 )
 from flatfold.vertex import (
+    RunCondition,
     count_mv,
     crimp_validity,
     find_runs,
@@ -235,6 +237,18 @@ class TestRunRestricted:
         (run,) = find_runs(MIRROR)
         with pytest.raises(ValueError):
             run_restricted_valid(MIRROR, run, (MVLabel.MOUNTAIN,))
+
+    @pytest.mark.parametrize("run", [(1, 1, 4), (7, 1, 6), (0, 5, 6)])
+    def test_both_deciders_refuse_a_run_that_does_not_fit(self, run):
+        # the 4-crease star's run, a start past the end, more sectors than fit
+        v = AngleSequence((90, 60, 60, 90, 30, 30))
+        run = RunCondition(*run)
+        message = "run %s does not fit a star of 6 creases" % re.escape(repr(tuple(run)))
+        labels = MVAssignment.from_string("M" * (run.k + 2))
+        with pytest.raises(ValueError, match=message):
+            run_validity(v, run, labels)
+        with pytest.raises(ValueError, match=message):
+            run_restricted_valid(v, run, labels)
 
     def test_net_on_mirror_vertex(self):
         # flap 100 from -100, the two 80s back and forth, then flap 100

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatfold import vertex
 from flatfold.core import AngleSequence, MVAssignment, MVLabel
 from flatfold.errors import NotFlatFoldableError, ParityError
 from flatfold.oracle import run_restricted_valid
@@ -244,8 +245,8 @@ class TestBounds:
             bounds(AngleSequence((120, 120, 120)))
 
 
-def pick_largest_last(seq, runs):
-    return max(runs, key=lambda r: (seq[r.start], r.start))
+def pick_largest_last(seq):
+    return max(vertex._runs(seq), key=lambda r: (seq[r.start], r.start))
 
 
 class TestCountMV:
