@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -56,6 +57,21 @@ _NECESSARY_ONLY = (
 _MAX_TOKEN_CHARS = 100
 
 
+def _angle_value(tok: str) -> Fraction:
+    """``Fraction(tok)``, without its regex for the plain forms: an integer,
+    ``p/q`` and ``a.b``, each part made of ASCII digits only."""
+    if tok.isascii():
+        if tok.isdigit():
+            return Fraction(int(tok))
+        p, sep, q = tok.partition("/")
+        if sep and p.isdigit() and q.isdigit():
+            return Fraction(int(p), int(q))
+        a, sep, b = tok.partition(".")
+        if sep and a.isdigit() and b.isdigit():
+            return Fraction(int(a + b), 10 ** len(b))
+    return Fraction(tok)
+
+
 def parse_angles(text: str) -> AngleSequence:
     """Comma/space-separated angles: integers, finite decimals, or p/q."""
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
@@ -73,7 +89,7 @@ def parse_angles(text: str) -> AngleSequence:
                 "exponent notation is not accepted: %r at position %d" % (tok, i + 1)
             )
         try:
-            value = Fraction(tok)
+            value = _angle_value(tok)
         except (ValueError, ZeroDivisionError):
             raise ParseError("malformed angle %r at position %d" % (tok, i + 1)) from None
         if value <= 0:
@@ -335,6 +351,19 @@ def _input_block(v: AngleSequence) -> dict:
     }
 
 
+class _SectorNames(dict):
+    """``names[n] == str(Fraction(n, den))``, each formatted on first use."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, n: int) -> str:
+        g = math.gcd(n, self.den)
+        name = self[n] = str(n // g) if g == self.den else "%d/%d" % (n // g, self.den // g)
+        return name
+
+
 def _count_block(v: AngleSequence) -> tuple[Optional[dict], Optional[str]]:
     try:
         result = vxmod.count_mv(v)
@@ -342,17 +371,13 @@ def _count_block(v: AngleSequence) -> tuple[Optional[dict], Optional[str]]:
         return None, _NO_FOLDINGS
     # residuals share the star's denominator and repeat most of their
     # sectors from step to step: render each distinct sector once
-    den = v.scaled[1]
-    names: dict[int, str] = {}
+    names = _SectorNames(v.scaled[1])
     steps = [
         {
             "start": step.start,
             "length": step.length,
             "factor": step.factor,
-            "residual": [
-                names[n] if n in names else names.setdefault(n, str(Fraction(n, den)))
-                for n in step.scaled_residual
-            ],
+            "residual": list(map(names.__getitem__, step.scaled_residual)),
         }
         for step in result.trace
     ]
@@ -443,7 +468,7 @@ def cmd_enumerate(args) -> Result:
         # the same, and scripts match on the name
         report["method"] = "crimp-filter"
         try:
-            valid = [str(mv) for mv in vxmod.enumerate_mv(v)]
+            valid = vxmod.enumerate_words(v)
         except NotFlatFoldableError:
             valid = []
     else:

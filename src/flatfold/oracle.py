@@ -1,7 +1,7 @@
 """Brute-force layer-ordering oracle for single-vertex folds.
 
 Independent ground truth at desk scale: fold the paper onto a line with
-exact rational positions, then search stackings of the sheets for one that
+exact integer positions, then search stackings of the sheets for one that
 satisfies the three layer constraints:
 
   (a) at every crease the two adjacent sectors stack in the order the
@@ -12,7 +12,10 @@ satisfies the three layer constraints:
       lie strictly between that fold's two sectors.
 
 Overlap is measured on open intervals: creases have no width, so touching
-at an endpoint never conflicts. Everything is exact; no tolerances.
+at an endpoint never conflicts. Everything is exact; no tolerances. A star
+folds on its own integer scale, each sector times the LCM of the
+denominators, worked out here and not taken from `AngleSequence.scaled`
+(`_integer_sectors`); a positive scale keeps every order and equality.
 
 One folded net, `LayerModel`, serves both questions the oracle answers, and
 one walk (`_walk`) builds it: a closed walk for a whole vertex
@@ -35,8 +38,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .core import AngleSequence, MVAssignment, MVLabel
@@ -45,8 +48,8 @@ from .vertex import RunCondition, kawasaki
 
 DEFAULT_LIMIT = 10
 
-_Sheet = tuple[Fraction, Fraction, int]
-_Fold = tuple[int, int, Fraction, int]
+_Sheet = tuple[int, int, int]
+_Fold = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,9 @@ class LayerModel:
     ``left`` and ``right`` meet at ``position``, and the fold opens towards
     ``side``. "left/right" is the order the walk visits the two sheets, which
     fixes how a label reads; labels travel beside the folds, one per fold.
+    Spans and positions are integers in units of 1/L degree, where L is the
+    LCM of the denominators of the folded star's sectors (1 for a star of
+    whole degrees).
     """
 
     sheets: tuple[_Sheet, ...]
@@ -69,7 +75,7 @@ class LayerModel:
         return _constraint_tables(self.sheets, self.folds)
 
 
-def _walk(start: Fraction, sectors: Sequence[Fraction], closed: bool) -> LayerModel:
+def _walk(start: int, sectors: Sequence[int], closed: bool) -> LayerModel:
     """Lay the sectors end to end along the line from ``start``, turning back
     at every crease. A sheet laid forwards shows sheet 0's face, and the fold
     in front of a sheet opens the way that sheet runs. A closed walk (a whole
@@ -86,14 +92,20 @@ def _walk(start: Fraction, sectors: Sequence[Fraction], closed: bool) -> LayerMo
     return LayerModel(tuple(sheets), tuple(folds))
 
 
+def _integer_sectors(v: AngleSequence) -> list[int]:
+    """The sectors in units of 1/L degree, L the LCM of their denominators."""
+    scale = math.lcm(*(a.denominator for a in v.angles))
+    return [a.numerator * (scale // a.denominator) for a in v.angles]
+
+
 def fold_directions(v: AngleSequence) -> LayerModel:
-    """Fold the whole vertex: walk its sectors from 0, one fold per crease,
-    with fold j in front of sector j. Fails if the walk does not close up,
-    i.e. if the alternating sector sum is nonzero."""
+    """Fold the whole vertex: walk its integer sectors from 0, one fold per
+    crease, with fold j in front of sector j. Fails if the walk does not
+    close up, i.e. if the alternating sector sum is nonzero."""
     _within_one_turn(v)
     if not kawasaki(v):
         raise NotFlatFoldableError("the folded boundary walk does not close up")
-    return _walk(Fraction(0), v.angles, closed=True)
+    return _walk(0, _integer_sectors(v), closed=True)
 
 
 def _fold_wants_right_above(sheets: Sequence[_Sheet], fold: _Fold, label: MVLabel) -> bool:
@@ -354,8 +366,9 @@ def run_restricted_valid(
 
 
 def _restricted_net(v: AngleSequence, run: RunCondition) -> LayerModel:
-    """Fold the run's k + 1 equal sectors between its two flanking flaps:
-    an open walk from minus the left flap, so the first fold lies at 0."""
+    """Fold the run's k + 1 equal sectors between its two flanking flaps, on
+    the star's integer scale: an open walk from minus the left flap, so the
+    first fold lies at 0."""
     m = len(v)
     if run.m != m or not 0 <= run.start < m or not 0 <= run.k <= m - 2:
         raise ValueError("run %r does not fit a star of %d creases" % (tuple(run), m))
@@ -365,12 +378,13 @@ def _restricted_net(v: AngleSequence, run: RunCondition) -> LayerModel:
             "%d creases exceed the exhaustive-search limit of %d"
             % (run.k + 2, DEFAULT_LIMIT)
         )
-    val = v.cyclic(run.start)
+    ints = _integer_sectors(v)
+    val = ints[run.start]
     for j in range(run.k + 1):
-        if v.cyclic(run.start + j) != val:
+        if ints[(run.start + j) % m] != val:
             raise ValueError("run sectors are not all equal in this sequence")
-    left_a = v.cyclic(run.start - 1)
-    right_a = v.cyclic(run.start + run.k + 1)
+    left_a = ints[run.start - 1]
+    right_a = ints[(run.start + run.k + 1) % m]
     if not (left_a > val and right_a > val):
         raise ValueError("restricted folding needs strictly larger flanking sectors")
     return _walk(-left_a, [left_a] + [val] * (run.k + 1) + [right_a], closed=False)

@@ -287,7 +287,14 @@ ENUMERATE_LIMIT = 100_000
 
 def enumerate_mv(v: AngleSequence) -> list[MVAssignment]:
     """All valid assignments of a foldable vertex, in lexicographic
-    M-before-V order: the assignments that `count_mv` counts.
+    M-before-V order: the assignments that `count_mv` counts. The words of
+    `enumerate_words`, one `MVAssignment` each."""
+    return [MVAssignment(word) for word in enumerate_words(v)]
+
+
+def enumerate_words(v: AngleSequence) -> list[str]:
+    """The valid assignments of a foldable vertex as words such as
+    ``"MMVM"``, in lexicographic M-before-V order.
 
     Replays `count_mv`'s reduction with each crease's id carried through the
     rotations (Hull, "Counting mountain-valley assignments for flat folds",
@@ -345,4 +352,4 @@ def enumerate_mv(v: AngleSequence) -> list[MVAssignment]:
                 labels, run, n // 2 + (virtual is not None and labels[virtual] == "M")
             )
         ]
-    return [MVAssignment(word) for word in sorted("".join(labels[:m]) for labels in labelings)]
+    return sorted("".join(labels[:m]) for labels in labelings)

@@ -4,12 +4,13 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flatfold import core, oracle, vertex
+from flatfold import cli, core, oracle, vertex
 from flatfold.cli import _json, build_parser, emit_svg, main, parse_angles, parse_pattern
 from flatfold.core import AngleSequence, CreasePattern, normalize_pattern
 from flatfold.errors import ParseError, PlanarityError, SchemaError
@@ -51,6 +52,34 @@ class TestParseAngles:
     def test_overlong_token_rejected(self):
         with pytest.raises(ParseError, match="position 1 is longer than"):
             parse_angles("1" * 5000 + " 1")
+
+    @given(st.one_of(
+        st.from_regex(r"[+-]?[0-9_]{0,4}[./]?[0-9_]{0,4}", fullmatch=True),
+        st.text(alphabet="0123456789./+-_ \u00a0\u0663\u00b2", max_size=12),
+        st.text(max_size=12),
+    ))
+    @example("22.5 1/3 0.125 007")
+    @example("+5")
+    @example(" 5")
+    @example("1_000")
+    @example(".5")
+    @example("5.")
+    @example("5/0")
+    @example("0/5")
+    @example("\u0663")  # ARABIC-INDIC DIGIT THREE
+    @example("\u00b2")  # SUPERSCRIPT TWO
+    def test_parses_every_token_as_fraction_does(self, text):
+        # the plain forms skip Fraction's regex: the same angles, or the
+        # same message, as parsing every token with Fraction(tok)
+        def outcome():
+            try:
+                return parse_angles(text).angles
+            except ParseError as exc:
+                return str(exc)
+
+        fast = outcome()
+        with mock.patch.object(cli, "_angle_value", Fraction):
+            assert fast == outcome()
 
 
 def write_pattern(tmp_path, doc, name="pattern.json"):
@@ -253,6 +282,16 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(_STRINGS, inner),
     max_leaves=40,
 )
+
+
+@given(st.integers(1, 10**30), st.integers(1, 10**12))
+@example(360, 1)
+@example(1001, 1001)
+@example(2, 6)
+def test_sector_names_are_fraction_strings(n, den):
+    names = cli._SectorNames(den)
+    assert names[n] == str(Fraction(n, den))
+    assert list(map(names.__getitem__, (n, n))) == [str(Fraction(n, den))] * 2
 
 
 class TestJsonRenderer:

@@ -22,7 +22,7 @@ from flatfold.core import AngleSequence, MVAssignment, MVLabel
 from flatfold.errors import CapacityError, NotFlatFoldableError
 from flatfold import vertex
 from flatfold.oracle import enumerate_valid
-from flatfold.vertex import count_mv, crimp_validity, enumerate_mv
+from flatfold.vertex import count_mv, crimp_validity, enumerate_mv, enumerate_words
 
 
 def _reference_kawasaki(v):
@@ -217,7 +217,8 @@ def test_enumerate_length_is_count():
     stars = seeded_stars((16, 18, 24), 13)[:10]  # sizes 16 and 18, two of 24
     stars += [equal_star(16, 360), equal_star(14, 300)]
     for v in stars:
-        words = [str(mv) for mv in enumerate_mv(v)]
+        words = enumerate_words(v)
+        assert words == [str(mv) for mv in enumerate_mv(v)]
         assert len(words) == count_mv(v).count
         assert words == sorted(set(words))
     assert count_mv(equal_star(16, 360)).count == 22880

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -30,6 +31,10 @@ from flatfold.vertex import (
 
 SQUARE = AngleSequence((90, 90, 90, 90))
 MIRROR = AngleSequence((100, 80, 80, 100))
+# a closing 300-degree cone over denominators 7, 11, 13, 91 and 77
+CONE_7_11_13 = AngleSequence(
+    tuple(map(Fraction, "100/7 250/11 400/13 150/7 9550/91 8150/77".split()))
+)
 
 
 def all_assignments(m):
@@ -57,17 +62,22 @@ class TestFoldDirections:
             (3, 0, 0, 1), (0, 1, 100, -1), (1, 2, 20, 1), (2, 3, 100, -1))
 
     def test_same_nets_as_the_reference_walks(self, corpus200):
+        # the reference walks in degrees, times the star's LCM, exactly, and
+        # every position an int
         stars = list(corpus200) + [v for seed in (10, 11, 12) for v in seeded_stars(seed)]
+        stars.append(CONE_7_11_13)
         assert any(not v.is_flat for v in stars)
+        assert any(_lcm_of(v) > 1 for v in stars)
         runs = 0
         for v in stars:
             model = fold_directions(v)
-            assert (list(model.sheets), list(model.folds)) == _reference_vertex_net(v), (
-                v.as_strings())
+            assert _net(model) == _scaled(v, _reference_vertex_net(v)), v.as_strings()
+            assert _all_ints(model), v.as_strings()
             for run in find_runs(v):
                 model = oracle_module._restricted_net(v, run)
-                assert (list(model.sheets), list(model.folds)) == _reference_run_net(v, run), (
+                assert _net(model) == _scaled(v, _reference_run_net(v, run)), (
                     v.as_strings(), run)
+                assert _all_ints(model), (v.as_strings(), run)
                 runs += 1
         assert runs > 250
 
@@ -327,6 +337,30 @@ def _reference_run_net(v, run):
     return sheets, folds
 
 
+def _lcm_of(v):
+    return math.lcm(*(a.denominator for a in v.angles))
+
+
+def _scaled(v, net):
+    """A reference net in units of 1/L degree, L the LCM of the star's
+    denominators: the scale the oracle folds on."""
+    scale = _lcm_of(v)
+    sheets, folds = net
+    return (
+        [(lo * scale, hi * scale, o) for lo, hi, o in sheets],
+        [(p, q, pos * scale, side) for p, q, pos, side in folds],
+    )
+
+
+def _net(model):
+    return list(model.sheets), list(model.folds)
+
+
+def _all_ints(model):
+    positions = [x for lo, hi, _o in model.sheets for x in (lo, hi)]
+    return all(type(x) is int for x in positions + [fold[2] for fold in model.folds])
+
+
 # The layer search as it ran before the (b)/(c) tables: every node rebuilds a
 # level dict and rescans the completed folds and the placed sheets, comparing
 # `Fraction` positions. A fold here is (left, right, position, side, label).
@@ -430,7 +464,8 @@ class TestReferenceSearch:
     the reference, so it finds the same first stacking, not only a verdict."""
 
     def test_same_witness_on_seeded_stars(self):
-        stars = seeded_stars(10) + [AngleSequence((45,) * 8), AngleSequence((30,) * 10)]
+        stars = seeded_stars(10) + [
+            AngleSequence((45,) * 8), AngleSequence((30,) * 10), CONE_7_11_13]
         assert any(not v.is_flat for v in stars)
         searched = found = 0
         for v in stars:
@@ -444,6 +479,15 @@ class TestReferenceSearch:
                 searched += 1
                 found += witness is not None
         assert found > 0 and searched - found > 0
+
+    def test_cone_over_coprime_denominators(self):
+        # folded on a scale of 7 * 11 * 13 = 1001; its witnesses are checked
+        # against the reference in the test above
+        v = CONE_7_11_13
+        assert not v.is_flat and _lcm_of(v) == 1001
+        assert count_mv(v).count == oracle_count(v) == 8
+        assert enumerate_valid(v) == [
+            mv for mv in all_assignments(len(v)) if crimp_validity(v, mv)]
 
     def test_same_witness_on_restricted_nets(self, corpus200):
         searched = found = 0
