@@ -582,6 +582,8 @@ _CCW = functools.cmp_to_key(lambda a, b: _compare_directions(a[1], b[1]))
 
 def _directions(p: CreasePattern, v: int) -> list[tuple[int, tuple[int, int]]]:
     """Each crease at v with its outgoing direction in the integer-scaled plane."""
+    if not 0 <= v < len(p.vertices):
+        raise StructuralError("vertex %d out of range" % v)
     ipts = p._geometry[0]
     (vx, vy), out = ipts[v], []
     for ci in p._incidence[v]:
@@ -593,6 +595,17 @@ def _directions(p: CreasePattern, v: int) -> list[tuple[int, tuple[int, int]]]:
 def incident_creases_ccw(p: CreasePattern, v: int) -> list[int]:
     """The creases at v, sorted counterclockwise from +x."""
     return [ci for ci, _ in sorted(_directions(p, v), key=_CCW)]
+
+
+def _interior(p: CreasePattern, v: int, creases: list) -> list:
+    """``creases``, the creases at v in any form, once v is interior and has some."""
+    if p.vertices[v].on_boundary:
+        raise StructuralError(
+            "vertex %d is on the border; border vertices follow different rules" % v
+        )
+    if not creases:
+        raise StructuralError("vertex %d has no creases" % v)
+    return creases
 
 
 def _direction_degrees_exact(d: tuple[int, int]) -> Optional[int]:
@@ -625,15 +638,7 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
     from +x. `pattern.reflection_trace` decides closure at such a vertex
     exactly instead.
     """
-    if not 0 <= v < len(p.vertices):
-        raise StructuralError("vertex %d out of range" % v)
-    if p.vertices[v].on_boundary:
-        raise StructuralError(
-            "vertex %d is on the border; border vertices follow different rules" % v
-        )
-    directions = _directions(p, v)
-    if not directions:
-        raise StructuralError("vertex %d has no creases" % v)
+    directions = _interior(p, v, _directions(p, v))
     if len(directions) == 1:
         return AngleSequence((FULL_TURN,))
     thetas = [_direction_degrees_exact(d) for _, d in directions]

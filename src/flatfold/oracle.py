@@ -12,15 +12,17 @@ satisfies the three layer constraints:
       lie strictly between that fold's two sectors.
 
 Overlap is measured on open intervals: creases have no width, so touching
-at an endpoint never conflicts. Everything is exact; no tolerances. A star
-folds on its own integer scale, each sector times the LCM of the
-denominators, worked out here and not taken from `AngleSequence.scaled`
-(`_integer_sectors`); a positive scale keeps every order and equality.
+at an endpoint never conflicts. Everything is exact; no tolerances. One
+entry, `_vertex_net`, works out what the oracle needs of a whole star by
+itself, with none of the recursion's arithmetic: the integer scale, each
+sector times the LCM of the denominators (`_integer_sectors`, not
+`AngleSequence.scaled`; a positive scale keeps every order and equality),
+then the one-turn limit and closure on those integers.
 
 One folded net, `LayerModel`, serves both questions the oracle answers, and
 one walk (`_walk`) builds it: a closed walk for a whole vertex
-(`fold_directions`) and an open one for a single equal-angle run between
-two flaps (`_restricted_net`). Only (a) reads a label. Which fold pairs fall
+(`_vertex_net`) and an open one for a single equal-angle run between two
+flaps (`_restricted_net`). Only (a) reads a label. Which fold pairs fall
 under (b) and which sheets straddle a fold for (c) follow from the folded
 geometry alone, so each model turns them into label-free tables once
 (`_constraint_tables`), and every labeling's search reads them; (a) becomes
@@ -44,7 +46,7 @@ from typing import Optional, Sequence, Union
 
 from .core import AngleSequence, MVAssignment, MVLabel
 from .errors import CapacityError, NotFlatFoldableError, UnsupportedError
-from .vertex import RunCondition, kawasaki
+from .vertex import RunCondition
 
 DEFAULT_LIMIT = 10
 
@@ -93,19 +95,35 @@ def _walk(start: int, sectors: Sequence[int], closed: bool) -> LayerModel:
 
 
 def _integer_sectors(v: AngleSequence) -> list[int]:
-    """The sectors in units of 1/L degree, L the LCM of their denominators."""
+    """The sectors in units of 1/L degree, L the LCM of their denominators.
+    Refuses a star wider than one full turn, 360 L units."""
     scale = math.lcm(*(a.denominator for a in v.angles))
-    return [a.numerator * (scale // a.denominator) for a in v.angles]
+    ints = [a.numerator * (scale // a.denominator) for a in v.angles]
+    if sum(ints) > 360 * scale:
+        raise UnsupportedError("layer analysis supports sector totals up to one full turn")
+    return ints
+
+
+def _vertex_net(v: AngleSequence, limit: Optional[int] = None) -> Optional[LayerModel]:
+    """Refuse more than ``limit`` sectors, then one wider than a turn, and fold
+    the whole vertex from 0, fold j in front of sector j. None if the walk does
+    not close up: an odd degree or a nonzero alternating sum."""
+    if limit is not None and len(v) > limit:
+        raise CapacityError(
+            "%d sectors exceed the exhaustive-search limit of %d" % (len(v), limit)
+        )
+    ints = _integer_sectors(v)
+    if len(ints) % 2 or sum(ints[0::2]) != sum(ints[1::2]):
+        return None
+    return _walk(0, ints, closed=True)
 
 
 def fold_directions(v: AngleSequence) -> LayerModel:
-    """Fold the whole vertex: walk its integer sectors from 0, one fold per
-    crease, with fold j in front of sector j. Fails if the walk does not
-    close up, i.e. if the alternating sector sum is nonzero."""
-    _within_one_turn(v)
-    if not kawasaki(v):
+    """Fold the whole vertex; fails if the walk does not close up."""
+    model = _vertex_net(v)
+    if model is None:
         raise NotFlatFoldableError("the folded boundary walk does not close up")
-    return _walk(0, _integer_sectors(v), closed=True)
+    return model
 
 
 def _fold_wants_right_above(sheets: Sequence[_Sheet], fold: _Fold, label: MVLabel) -> bool:
@@ -269,6 +287,8 @@ def _stacking(
     """The one search driver: a witness stacking of the model under the
     labels, or None. Every witness is re-checked against the constraints
     themselves, which the search only reads through the model's tables."""
+    if len(labels) != len(model.folds):
+        raise ValueError("assignment length must match the number of creases")
     found = _search(model, labels)
     if found is None:
         return None
@@ -281,32 +301,13 @@ def find_stacking(v: AngleSequence, mv: MVAssignment) -> Optional[tuple[int, ...
     return _stacking(fold_directions(v), mv)
 
 
-def _within_one_turn(v: AngleSequence) -> None:
-    if v.total > 360:
-        raise UnsupportedError(
-            "layer analysis supports sector totals up to one full turn"
-        )
-
-
-def _guard(v: AngleSequence, limit: int) -> None:
-    if len(v) > limit:
-        raise CapacityError(
-            "%d sectors exceed the exhaustive-search limit of %d" % (len(v), limit)
-        )
-    _within_one_turn(v)
-
-
 def oracle_is_valid(
     v: AngleSequence, mv: MVAssignment, *, limit: int = DEFAULT_LIMIT
 ) -> bool:
     """Definitional validity: some stacking folds the labels flat without
     the paper crossing itself."""
-    _guard(v, limit)
-    if len(mv) != len(v):
-        raise ValueError("assignment length must match the number of creases")
-    if not kawasaki(v):
-        return False
-    return find_stacking(v, mv) is not None
+    model = _vertex_net(v, limit)
+    return model is not None and _stacking(model, mv) is not None
 
 
 def _maekawa_labelings(m: int) -> list[MVAssignment]:
@@ -331,10 +332,9 @@ def enumerate_valid(v: AngleSequence) -> list[MVAssignment]:
     |M - V| = 2, rules out every other assignment without a layer search,
     so those are never built.
     """
-    _guard(v, DEFAULT_LIMIT)
-    if not kawasaki(v):
+    model = _vertex_net(v, DEFAULT_LIMIT)
+    if model is None:
         return []
-    model = fold_directions(v)
     accepted = [mv for mv in _maekawa_labelings(len(v)) if _stacking(model, mv) is not None]
     # flipping every label reverses lexicographic order
     return accepted + [mv.flipped() for mv in reversed(accepted)]
@@ -360,8 +360,6 @@ def run_restricted_valid(
     """
     model = _restricted_net(v, run)
     mv = labels if isinstance(labels, MVAssignment) else MVAssignment(tuple(labels))
-    if len(mv) != run.k + 2:
-        raise ValueError("need %d labels, got %d" % (run.k + 2, len(mv)))
     return _stacking(model, mv) is not None
 
 
@@ -372,13 +370,12 @@ def _restricted_net(v: AngleSequence, run: RunCondition) -> LayerModel:
     m = len(v)
     if run.m != m or not 0 <= run.start < m or not 0 <= run.k <= m - 2:
         raise ValueError("run %r does not fit a star of %d creases" % (tuple(run), m))
-    _within_one_turn(v)
+    ints = _integer_sectors(v)
     if run.k + 2 > DEFAULT_LIMIT:
         raise CapacityError(
             "%d creases exceed the exhaustive-search limit of %d"
             % (run.k + 2, DEFAULT_LIMIT)
         )
-    ints = _integer_sectors(v)
     val = ints[run.start]
     for j in range(run.k + 1):
         if ints[(run.start + j) % m] != val:

@@ -27,6 +27,7 @@ from .core import (
     PatternTally,
     incident_creases_ccw,
     vertex_star,
+    _interior,
     _orient,
 )
 from .errors import ExactnessError, LocalMaekawaError, StructuralError
@@ -167,12 +168,7 @@ def curve_around_vertex(p: CreasePattern, v: int) -> ClosedCurve:
     a small enough circle crosses exactly ``v``'s creases, once each, in the
     order `incident_creases_ccw` sorts them.
     """
-    if p.vertices[v].on_boundary:
-        raise StructuralError("vertex %d is on the border" % v)
-    incident = incident_creases_ccw(p, v)
-    if not incident:
-        raise StructuralError("vertex %d has no creases" % v)
-    return ClosedCurve(tuple(incident))
+    return ClosedCurve(tuple(_interior(p, v, incident_creases_ccw(p, v))))
 
 
 @dataclass(frozen=True)

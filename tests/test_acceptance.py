@@ -11,13 +11,7 @@ from contextlib import contextmanager
 
 from flatfold.cli import main
 from flatfold.core import AngleSequence, MVAssignment, MVLabel
-from flatfold.corpus import (
-    chain_pattern,
-    random_flat_sequence,
-    random_local_parity_assignment,
-    random_nonclosing_sequence,
-    star_pattern,
-)
+from flatfold.corpus import random_flat_sequence
 from flatfold.oracle import find_stacking, oracle_count, run_restricted_valid
 from flatfold.pattern import (
     curve_around_vertex,
@@ -26,6 +20,12 @@ from flatfold.pattern import (
     reflection_trace,
 )
 from flatfold.vertex import count_mv, find_runs, kawasaki, run_validity
+from generators import (
+    chain_pattern,
+    random_local_parity_assignment,
+    random_nonclosing_sequence,
+    star_pattern,
+)
 
 
 @contextmanager

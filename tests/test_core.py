@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flatfold import core, corpus
+from flatfold import core
 from flatfold.core import (
     AngleSequence,
     CreasePattern,
@@ -16,6 +16,7 @@ from flatfold.core import (
     vertex_star,
 )
 from flatfold.errors import ExactnessError, PlanarityError, StructuralError
+import generators
 
 
 def square(side=4):
@@ -47,10 +48,10 @@ def split_by_rebuilding(p):
 
 
 def unsplit_chain_pattern(rng, k, monkeypatch):
-    """`corpus.chain_pattern` with its border-to-border crease left whole."""
+    """`generators.chain_pattern` with its border-to-border crease left whole."""
     with monkeypatch.context() as m:
-        m.setattr(corpus, "normalize_pattern", lambda p: p)
-        return corpus.chain_pattern(rng, k, with_split=True)
+        m.setattr(generators, "normalize_pattern", lambda p: p)
+        return generators.chain_pattern(rng, k, with_split=True)
 
 
 def test_angle_sequence_accepts_rationals():
@@ -346,7 +347,7 @@ class TestVertexStar:
     def test_stars_sum_to_full_turn_across_random_patterns(self):
         import random
 
-        from flatfold.corpus import chain_pattern
+        from generators import chain_pattern
 
         rng = random.Random(6)
         for _ in range(5):

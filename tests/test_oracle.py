@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from flatfold.vertex import (
     maekawa_check,
     run_validity,
 )
+from generators import random_nonclosing_sequence
 
 SQUARE = AngleSequence((90, 90, 90, 90))
 MIRROR = AngleSequence((100, 80, 80, 100))
@@ -136,6 +138,13 @@ class TestOracleIsValid:
         # raising the limit admits the input; 7-5 splits fold an equal star
         assert oracle_is_valid(twelve, MVAssignment.from_string("MMMMMMMVVVVV"), limit=12)
 
+    @pytest.mark.parametrize("labels", ["MMV", "MMVMV", "MMMVMMMV"])
+    def test_label_count_checked(self, labels):
+        mv = MVAssignment.from_string(labels)
+        for decide in (find_stacking, oracle_is_valid):
+            with pytest.raises(ValueError, match="^assignment length must match"):
+                decide(SQUARE, mv)
+
     def test_search_agrees_with_exhaustive_permutations(self):
         for seq in (SQUARE, MIRROR, AngleSequence((40, 60, 140, 120))):
             model = fold_directions(seq)
@@ -193,15 +202,20 @@ class TestEnumerate:
                 assert abs(mv.tally) == 2
 
     def test_folds_the_vertex_once(self, monkeypatch):
-        calls = []
-        real = oracle_module.fold_directions
-        monkeypatch.setattr(
-            oracle_module, "fold_directions", lambda v: calls.append(v) or real(v)
-        )
+        closed_walks = []
+        real = oracle_module._walk
+
+        def walk(start, sectors, closed):
+            if closed:
+                closed_walks.append(list(sectors))
+            return real(start, sectors, closed=closed)
+
+        monkeypatch.setattr(oracle_module, "_walk", walk)
         for seq in (SQUARE, AngleSequence((20, 10, 40, 50, 60, 60, 60, 60))):
-            calls.clear()
+            closed_walks.clear()
             assert enumerate_valid(seq)
-            assert calls == [seq]
+            # whole degrees fold on a scale of 1
+            assert closed_walks == [list(map(int, seq.angles))]
 
     def test_flip_closure(self, corpus_small):
         for seq in corpus_small:
@@ -457,6 +471,48 @@ def seeded_stars(seed):
                 flat = AngleSequence(tuple(a * scale for a in flat))
             stars.append(flat)
     return stars
+
+
+class TestClosureGate:
+    """The oracle decides closure on its own integers. The recursion and
+    crimping decide it with `vertex.kawasaki`, so the oracle must agree with
+    that test without calling it: a star has a valid assignment exactly when
+    it closes."""
+
+    def test_imports_only_the_run_type_from_the_recursion(self):
+        tree = ast.parse(open(oracle_module.__file__, encoding="utf-8").read())
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                names += [module + ":" + alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+        assert [name for name in names if "vertex" in name] == [".vertex:RunCondition"]
+
+    def test_enumerate_lists_some_assignment_exactly_when_the_star_closes(self):
+        rng = random.Random(16)
+        # one sector of the coprime cone nudged by 1/1001 degree: open by
+        # exactly one unit of its scale
+        nudged = CONE_7_11_13.angles[:-1] + (CONE_7_11_13.angles[-1] + Fraction(1, 1001),)
+        stars = seeded_stars(16) + seeded_stars(17) + [CONE_7_11_13, AngleSequence(nudged)]
+        for m in (2, 4, 6, 8, 10):
+            flat = random_nonclosing_sequence(rng, m)
+            scale = Fraction(rng.randint(700, 2519), 2520)
+            stars += [flat, AngleSequence(tuple(a * scale for a in flat))]
+        for m in (1, 3, 5, 7, 9):
+            raw = [Fraction(rng.randint(1, 60), rng.choice((1, 2, 3))) for _ in range(m)]
+            scale = Fraction(rng.randint(700, 2520), 2520) * 360 / sum(raw)
+            stars.append(AngleSequence(tuple(r * scale for r in raw)))
+        kinds = set()
+        for v in stars:
+            closes = kawasaki(v)
+            assert (enumerate_valid(v) != []) == closes, v.as_strings()
+            kinds.add((closes, v.is_flat, len(v) % 2))
+        # flat and cone stars that close, flat and cone stars that do not,
+        # and odd degrees
+        assert {(True, True, 0), (True, False, 0), (False, True, 0), (False, False, 0)} <= kinds
+        assert any(odd for _, _, odd in kinds)
 
 
 class TestReferenceSearch:

@@ -16,13 +16,7 @@ from flatfold.core import (
     normalize_pattern,
     vertex_star,
 )
-from flatfold.corpus import (
-    chain_pattern,
-    random_flat_sequence,
-    random_local_parity_assignment,
-    random_nonclosing_sequence,
-    star_pattern,
-)
+from flatfold.corpus import random_flat_sequence
 from flatfold.errors import ExactnessError, LocalMaekawaError, StructuralError
 from flatfold.pattern import (
     AffineMap,
@@ -34,6 +28,12 @@ from flatfold.pattern import (
     reflection_trace,
 )
 from flatfold.vertex import kawasaki
+from generators import (
+    chain_pattern,
+    random_local_parity_assignment,
+    random_nonclosing_sequence,
+    star_pattern,
+)
 
 
 def square(side=4):
@@ -155,8 +155,18 @@ class TestCurveAroundVertex:
         assert sorted(curve.crease_ids) == [0, 1, 2, 3]
 
     def test_boundary_vertex_rejected(self):
-        with pytest.raises(StructuralError):
-            curve_around_vertex(cross_pattern(), 0)
+        # the curve and the star refuse a border vertex with one check
+        for around in (curve_around_vertex, vertex_star):
+            with pytest.raises(StructuralError, match="^vertex 0 is on the border; border"):
+                around(cross_pattern(), 0)
+
+    @pytest.mark.parametrize("v", [-1, -9, 9])
+    def test_vertex_index_out_of_range(self, v):
+        p = cross_pattern()
+        assert len(p.vertices) == 9
+        for around in (curve_around_vertex, incident_creases_ccw, vertex_star):
+            with pytest.raises(StructuralError, match="^vertex %d out of range$" % v):
+                around(p, v)
 
 
 @pytest.mark.parametrize("with_split", [False, True])

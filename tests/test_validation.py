@@ -25,8 +25,8 @@ from flatfold.core import (
     _proper_cross,
     _segments_touch,
 )
-from flatfold.corpus import chain_pattern
 from flatfold.errors import PlanarityError, StructuralError
+from generators import chain_pattern
 
 
 def _reference_point_in_polygon(p, poly):
