@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -319,7 +320,7 @@ class CreasePattern:
     ) -> "CreasePattern":
         """Construct from raw coordinates, deriving the border flags, and
         validate the result once."""
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
+        pts = [(_rational(x), _rational(y)) for x, y in points]
         creases = tuple((_index(i, "crease"), _index(j, "crease")) for i, j in creases)
         boundary = tuple(_index(i, "border") for i in boundary)
         split = frozenset(_index(i, "split tag") for i in split_vertices)
@@ -366,6 +367,11 @@ class CreasePattern:
         return [i for i, vert in enumerate(self.vertices) if not vert.on_boundary]
 
 
+def _rational(c: Rational) -> Fraction:
+    """A coordinate: a `Fraction` is kept as it is, anything else coerced."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
 def _index(value, field: str) -> int:
     try:
         return operator.index(value)
@@ -384,14 +390,26 @@ def _border_edges(
     return [(pts[boundary[i]], pts[boundary[(i + 1) % m]]) for i in range(m)]
 
 
+def _box(a: Point, b: Point) -> tuple:
+    """The bounding box (x0, y0, x1, y1) of the segment ab."""
+    return min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1])
+
+
+def _boxed(edges: Sequence[tuple[Point, Point]]) -> list[tuple]:
+    """Each edge ab as (x0, y0, x1, y1, a, b): its box, then its ends."""
+    return [_box(a, b) + (a, b) for a, b in edges]
+
+
 def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[list, list, int]:
     """The points scaled to integers, which of them lie on the border, and the
     scale. The scale, twice the LCM of all denominators, is positive, so every
     predicate keeps its value, and even, so crease midpoints stay integral."""
     scale = 2 * math.lcm(*(c.denominator for pt in pts for c in pt))
     ipts = [tuple(c.numerator * (scale // c.denominator) for c in pt) for pt in pts]
-    bedges = _border_edges(ipts, boundary)
-    return ipts, [any(_on_segment(q, a, b) for a, b in bedges) for q in ipts], scale
+    bboxes = _boxed(_border_edges(ipts, boundary))
+    flags = [any(x0 <= q[0] <= x1 and y0 <= q[1] <= y1 and _on_segment(q, a, b)
+                 for x0, y0, x1, y1, a, b in bboxes) for q in ipts]
+    return ipts, flags, scale
 
 
 def _check_label_count(assignment: Optional[MVAssignment], creases: Sequence) -> None:
@@ -452,36 +470,51 @@ def _validate_pattern(p: CreasePattern) -> None:
             raise StructuralError("crease %d duplicates another crease" % ci)
         seen.add(key)
 
-    # no vertex may sit inside a crease; bounding boxes skip the far ones
-    boxes = [(min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
-             for a, b in ((pts[i], pts[j]) for i, j in p.creases)]
+    # The pairwise checks below visit only pairs whose bounding boxes meet,
+    # found by sorting and sweeping, and decide those with the exact
+    # predicates. Each reports its first failure in id order: the lowest
+    # crease, then the lowest vertex or crease with it.
+    boxes = [_box(pts[i], pts[j]) for i, j in p.creases]
+
+    # no vertex may sit inside a crease: with the vertices sorted by point,
+    # those in a crease's box lie between its lower and upper corners, among
+    # others whose y is outside it
+    order = sorted(range(n), key=pts.__getitem__)
+    ordered = [pts[k] for k in order]
     for ci, (i, j) in enumerate(p.creases):
         x0, y0, x1, y1 = boxes[ci]
-        for idx, (x, y) in enumerate(pts):
-            if idx in (i, j) or not (x0 <= x <= x1 and y0 <= y <= y1):
-                continue
-            if _on_segment(pts[idx], pts[i], pts[j]):
-                raise PlanarityError(
-                    "vertex %d lies inside crease %d; split the crease there" % (idx, ci)
-                )
+        a, b = pts[i], pts[j]
+        inside = [k for k in order[bisect_left(ordered, (x0, y0)):bisect_right(ordered, (x1, y1))]
+                  if k != i and k != j and y0 <= pts[k][1] <= y1 and _on_segment(pts[k], a, b)]
+        if inside:
+            raise PlanarityError(
+                "vertex %d lies inside crease %d; split the crease there" % (min(inside), ci)
+            )
 
-    # creases meet each other only at shared vertices
-    for ci in range(len(p.creases)):
-        i1, j1 = p.creases[ci]
-        a, b = pts[i1], pts[j1]
-        x0, y0, x1, y1 = boxes[ci]
-        for cj in range(ci + 1, len(p.creases)):
-            i2, j2 = p.creases[cj]
-            u0, v0, u1, v1 = boxes[cj]
-            if u0 > x1 or u1 < x0 or v0 > y1 or v1 < y0 or {i1, j1} & {i2, j2}:
-                continue  # far apart, or sharing a vertex (overlaps were caught above)
-            if _segments_touch(a, b, pts[i2], pts[j2]):
-                raise PlanarityError("creases %d and %d cross" % (ci, cj))
+    # creases meet each other only at shared vertices (overlaps were caught
+    # above): with the creases sorted by x0, a crease's box can meet only
+    # those after it whose x0 is at most its x1
+    rows = sorted(box + crease + (ci,) for ci, (box, crease) in enumerate(zip(boxes, p.creases)))
+    x0s = [row[0] for row in rows]
+    candidates = []
+    for k, (_, y0, x1, y1, i1, j1, ci) in enumerate(rows):
+        for _, v0, _, v1, i2, j2, cj in rows[k + 1:bisect_right(x0s, x1, k + 1)]:
+            if v0 <= y1 and v1 >= y0 and i2 != i1 and i2 != j1 and j2 != i1 and j2 != j1:
+                candidates.append((ci, cj) if ci < cj else (cj, ci))
+    candidates.sort()
+    for ci, cj in candidates:
+        (i1, j1), (i2, j2) = p.creases[ci], p.creases[cj]
+        if _segments_touch(pts[i1], pts[j1], pts[i2], pts[j2]):
+            raise PlanarityError("creases %d and %d cross" % (ci, cj))
 
     # creases stay inside the paper: they may touch the border only at endpoints
+    bboxes = _boxed(bedges)
     for ci, (i, j) in enumerate(p.creases):
         a, b = pts[i], pts[j]
-        for c, d in bedges:
+        x0, y0, x1, y1 = boxes[ci]
+        for u0, v0, u1, v1, c, d in bboxes:
+            if u0 > x1 or u1 < x0 or v0 > y1 or v1 < y0:
+                continue
             if _proper_cross(a, b, c, d):
                 raise PlanarityError("crease %d crosses the border" % ci)
             if _collinear_overlap(a, b, c, d):
@@ -559,25 +592,23 @@ def _assemble(**fields) -> CreasePattern:
 # vertex stars
 
 
-def _half_plane(d: tuple[int, int]) -> int:
+def _ccw_key(d: tuple[int, int]) -> tuple:
+    """A sort key ordering directions counterclockwise from +x, exactly.
+
+    The upper half-plane, +x included, comes first (``half`` 0), then the
+    lower one, -x included; within a half the axis direction leads, then
+    the cotangent falls, so -dx/dy rises. It is an int when dy divides dx,
+    as on the axes and the diagonals, since ints compare at C speed, and a
+    `Fraction` otherwise. Two creases leaving a vertex in one direction get
+    equal keys rather than an error: validation has already ruled them out,
+    since the shorter one would end inside the longer.
+    """
     dx, dy = d
-    return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-
-def _compare_directions(d1, d2) -> int:
-    h1, h2 = _half_plane(d1), _half_plane(d2)
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    raise StructuralError("two creases leave the vertex in the same direction")
-
-
-# orders (crease id, direction) pairs counterclockwise from +x
-_CCW = functools.cmp_to_key(lambda a, b: _compare_directions(a[1], b[1]))
+    half = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+    if dy == 0:
+        return (half, 0, 0)
+    q, r = divmod(-dx, dy)
+    return (half, 1, q if r == 0 else Fraction(-dx, dy))
 
 
 def _directions(p: CreasePattern, v: int) -> list[tuple[int, tuple[int, int]]]:
@@ -594,7 +625,7 @@ def _directions(p: CreasePattern, v: int) -> list[tuple[int, tuple[int, int]]]:
 
 def incident_creases_ccw(p: CreasePattern, v: int) -> list[int]:
     """The creases at v, sorted counterclockwise from +x."""
-    return [ci for ci, _ in sorted(_directions(p, v), key=_CCW)]
+    return [ci for ci, _ in sorted(_directions(p, v), key=lambda cd: _ccw_key(cd[1]))]
 
 
 def _interior(p: CreasePattern, v: int, creases: list) -> list:
@@ -643,7 +674,8 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
         return AngleSequence((FULL_TURN,))
     thetas = [_direction_degrees_exact(d) for _, d in directions]
     if None in thetas:
-        ci = min((cd for cd, t in zip(directions, thetas) if t is None), key=_CCW)[0]
+        ci = min((cd for cd, t in zip(directions, thetas) if t is None),
+                 key=lambda cd: _ccw_key(cd[1]))[0]
         raise ExactnessError(
             "crease %d at vertex %d is not at a multiple of 45 degrees" % (ci, v)
         )

@@ -54,20 +54,9 @@ class AffineMap:
 
     @classmethod
     def reflection_across(cls, p: tuple[int, int], q: tuple[int, int]) -> "AffineMap":
-        """Reflection across the line through the integer points ``p`` and ``q``.
-
-        For the line's primitive direction (dx, dy) and n = dx^2 + dy^2 the
-        linear part is (dx^2 - dy^2, 2 dx dy; 2 dx dy, dy^2 - dx^2) / n, with
-        no division; ``p`` is fixed.
-        """
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        if dx == dy == 0:
-            raise StructuralError("cannot reflect across a zero-length crease")
-        g = gcd(dx, dy)  # keeps n, and every product, small
-        dx, dy = dx // g, dy // g
-        n, a, b = dx * dx + dy * dy, dx * dx - dy * dy, 2 * dx * dy
-        return cls(a, b, b, -a, n * p[0] - (a * p[0] + b * p[1]),
-                   n * p[1] - (b * p[0] - a * p[1]), n)
+        """Reflection across the line through the integer points ``p`` and ``q``."""
+        a, b, tx, ty, n = _reflection_entries(p, q)
+        return cls(a, b, b, -a, tx, ty, n)
 
     def apply(self, x, y) -> tuple[Fraction, Fraction]:
         return (Fraction(self.a * x + self.b * y + self.tx, self.den),
@@ -94,14 +83,35 @@ class AffineMap:
                 and self.b == self.c == self.tx == self.ty == 0)
 
 
-def _scaled_reflection(p: CreasePattern, crease: int) -> AffineMap:
-    """The reflection across a crease's line, as a map of the pattern's plane
-    scaled to integers."""
+def _reflection_entries(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int, int, int]:
+    """``(a, b, tx, ty, n)``: the reflection across the line through the
+    integer points ``p`` and ``q`` is x -> ((a, b; b, -a) x + (tx, ty)) / n.
+
+    For the line's primitive direction (dx, dy), n = dx^2 + dy^2,
+    a = dx^2 - dy^2 and b = 2 dx dy, with no division; ``p`` is fixed.
+    """
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    if dx == dy == 0:
+        raise StructuralError("cannot reflect across a zero-length crease")
+    g = gcd(dx, dy)  # keeps n, and every product, small
+    dx, dy = dx // g, dy // g
+    n, a, b = dx * dx + dy * dy, dx * dx - dy * dy, 2 * dx * dy
+    return a, b, n * p[0] - (a * p[0] + b * p[1]), n * p[1] - (b * p[0] - a * p[1]), n
+
+
+def _crease_line(p: CreasePattern, crease: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A crease's two ends in the pattern's plane scaled to integers."""
     if not 0 <= crease < len(p.creases):
         raise StructuralError("crease %d out of range" % crease)
     i, j = p.creases[crease]
     ipts = p._geometry[0]
-    return AffineMap.reflection_across(ipts[i], ipts[j])
+    return ipts[i], ipts[j]
+
+
+def _scaled_reflection(p: CreasePattern, crease: int) -> AffineMap:
+    """The reflection across a crease's line, as a map of the pattern's plane
+    scaled to integers."""
+    return AffineMap.reflection_across(*_crease_line(p, crease))
 
 
 def _unscaled(p: CreasePattern, m: AffineMap) -> AffineMap:
@@ -141,10 +151,18 @@ def reflection_trace(p: CreasePattern, curve: ClosedCurve) -> TraceResult:
     """
     if not curve.crease_ids:
         raise ValueError("the curve crosses no creases")
-    composed = AffineMap.identity()
-    for cid in curve.crease_ids:  # in the scaled plane: one factor s, not one per crease
-        composed = composed.compose(_scaled_reflection(p, cid))
-    composed = _unscaled(p, composed)
+    # The product identity . R1 . R2 ... in the scaled plane, one factor s
+    # instead of one per crease, on plain ints: what folding
+    # `AffineMap.compose` over `_scaled_reflection` gives, then `_unscaled`.
+    ma, mb, mc, md, mtx, mty, den = 1, 0, 0, 1, 0, 0, 1
+    for cid in curve.crease_ids:
+        a, b, tx, ty, n = _reflection_entries(*_crease_line(p, cid))
+        ma, mb, mc, md, mtx, mty, den = (
+            ma * a + mb * b, ma * b - mb * a, mc * a + md * b, mc * b - md * a,
+            ma * tx + mb * ty + n * mtx, mc * tx + md * ty + n * mty, den * n,
+        )
+    s = p._geometry[2]
+    composed = AffineMap(s * ma, s * mb, s * mc, s * md, mtx, mty, s * den)
     if len(curve.crease_ids) % 2 != 0:
         return TraceResult(
             map=composed,

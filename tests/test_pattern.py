@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -26,6 +27,8 @@ from flatfold.pattern import (
     local_kawasaki_all,
     reflection,
     reflection_trace,
+    _scaled_reflection,
+    _unscaled,
 )
 from flatfold.vertex import kawasaki
 from generators import (
@@ -533,6 +536,62 @@ def test_local_kawasaki_all_sorts_each_vertex_once(monkeypatch):
             calls.clear()
             local_kawasaki_all(q)
             assert sorted(calls) == q.interior_vertex_ids()
+
+
+def _random_direction(rng, size):
+    """Anywhere, on an axis or on a diagonal, with coordinates up to ``size``."""
+    t, sx, sy = rng.randint(1, size), rng.choice((-1, 1)), rng.choice((-1, 1))
+    return rng.choice((
+        (rng.randint(-size, size), rng.randint(-size, size)),
+        (sx * t, 0),
+        (0, sy * t),
+        (sx * t, sy * t),
+    ))
+
+
+def test_direction_key_orders_like_the_comparator():
+    """`core._ccw_key` sorts as the reference comparator does: directions in
+    all eight octants, on both axes and on the diagonals, with coordinates
+    from one digit to forty."""
+    rng = random.Random(20261019)
+    octants = set()
+    for _ in range(200):
+        size = 10 ** rng.choice((1, 3, 40))
+        directions = {}
+        for _ in range(rng.randint(1, 12)):
+            d = _random_direction(rng, size)
+            if d != (0, 0):
+                g = math.gcd(*d)
+                directions.setdefault((d[0] // g, d[1] // g), d)  # one per direction
+        ds = list(directions.values())
+        rng.shuffle(ds)
+        want = sorted(ds, key=functools.cmp_to_key(_reference_compare))
+        assert sorted(ds, key=core._ccw_key) == want
+        for dx, dy in ds:
+            if dx and dy and abs(dx) != abs(dy):
+                octants.add((dx > 0, dy > 0, abs(dx) > abs(dy)))
+    assert len(octants) == 8
+
+
+def test_trace_composes_as_the_folded_maps():
+    """`reflection_trace` composes on plain ints. Its map equals, entry by
+    entry, the fold of `AffineMap.compose` over `_scaled_reflection`, taken
+    out of the scaled plane by `_unscaled`: around every interior vertex,
+    and along random crease sequences of either parity."""
+    rng = random.Random(20261020)
+    for i in range(12):
+        p = grid_pattern(rng, rng.randint(2, 5)) if i % 2 else chain_pattern(rng, rng.randint(1, 4))
+        for q in (p, rotated(p)):
+            curves = [curve_around_vertex(q, v) for v in q.interior_vertex_ids()]
+            curves += [ClosedCurve(tuple(rng.randrange(len(q.creases)) for _ in range(k)))
+                       for k in range(1, 8)]
+            for curve in curves:
+                want = AffineMap.identity()
+                for ci in curve.crease_ids:
+                    want = want.compose(_scaled_reflection(q, ci))
+                want = _unscaled(q, want)
+                got = reflection_trace(q, curve).map
+                assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
 
 class TestNonSufficiency:

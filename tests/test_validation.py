@@ -360,6 +360,51 @@ def test_same_rejections_and_messages():
     assert AIMED_AT <= seen
 
 
+def moved_last(points, creases, border, before):
+    """The pattern with the vertices a mutant moved or added (those not in
+    ``before``, the points it started from) listed last, and with them the
+    creases that contain one of those vertices, so that the failure the
+    mutant aims at comes last in both orders."""
+    changed = [k for k, q in enumerate(points) if k >= len(before) or q != before[k]]
+    perm = [k for k in range(len(points)) if k not in changed] + changed
+    new_id = {old: new for new, old in enumerate(perm)}
+    creases = [(new_id[i], new_id[j]) for i, j in creases]
+    points = [points[k] for k in perm]
+    moved = set(range(len(points) - len(changed), len(points)))
+    touched = [
+        c for c in creases
+        if any(_on_segment(points[k], points[c[0]], points[c[1]]) for k in moved)
+    ]
+    creases = [c for c in creases if c not in touched] + touched
+    return points, creases, [new_id[i] for i in border]
+
+
+def test_same_rejections_with_the_mutant_last():
+    """The sweeps visit vertices and creases in sorted order, not in the
+    order of the file: on shuffled lattices of up to 8 x 8, with the
+    mutant's vertices and creases listed last, they still report what the
+    reference's all-pairs loops meet first."""
+    seen = set()
+    for seed in range(4):
+        rng = random.Random(300 + seed)
+        transform = TRANSFORMS[seed % len(TRANSFORMS)]
+        for mutate in LATTICE_MUTANTS:
+            nx, ny = (8, 8) if seed == 0 else (rng.randint(3, 6), rng.randint(3, 6))
+            points, creases, border = shuffled(rng, *lattice(nx, ny, rng.random() < 0.7))
+            before = list(points)
+            mutate(rng, points, creases, nx, ny)
+            points, creases, border = moved_last(points, creases, border, before)
+            verdict = same_verdict(mapped(points, transform), creases, border)
+            if isinstance(verdict, tuple):
+                seen.add(re.sub(r"\d+", "N", verdict[1]))
+    assert {
+        "vertex N lies inside crease N; split the crease there",
+        "creases N and N cross",
+        "crease N runs along the border",
+        "vertex N lies outside the paper",
+    } <= seen
+
+
 def counted(calls, name, fn):
     def wrapper(*args):
         calls[name] += 1
@@ -369,17 +414,18 @@ def counted(calls, name, fn):
 
 
 def test_predicate_work_stays_near_linear(monkeypatch):
-    """The bounding-box rejects keep the pairwise loops from calling the exact
-    predicates on far-apart pairs: about C^2 / 2 calls each without them."""
-    points, creases, border = lattice(12, 12)
+    """The sweeps keep the pairwise checks from calling the exact predicates
+    on far-apart pairs: about C^2 / 2 calls each without them."""
     calls = {"_segments_touch": 0, "_on_segment": 0}
     for name in calls:
         monkeypatch.setattr(core, name, counted(calls, name, getattr(core, name)))
-    p = CreasePattern.build(points, creases, border)
-    c = len(p.creases)
-    assert c >= 300
-    assert 0 < calls["_segments_touch"] <= c
-    assert 0 < calls["_on_segment"] <= 10 * c
+    for n, least in ((12, 300), (40, 3900)):
+        calls.update(dict.fromkeys(calls, 0))
+        p = CreasePattern.build(*lattice(n, n))
+        c = len(p.creases)
+        assert c >= least
+        assert 0 < calls["_segments_touch"] <= c
+        assert 0 < calls["_on_segment"] <= 10 * c
 
 
 class TestWithAssignment:
