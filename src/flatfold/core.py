@@ -34,15 +34,15 @@ class AngleSequence:
 
     Index ``i`` is the sector between crease ``i`` and crease ``i + 1``; the
     sector after the last crease wraps around to crease 0. Each sector is a
-    positive angle in degrees: a `Fraction` is kept as it is, anything else
-    is coerced with ``Fraction(...)``. This is the one place a sector is
-    checked.
+    positive angle in degrees: a `Fraction` is kept as it is, a bool is
+    refused, and anything else is coerced with ``Fraction(...)``. This is
+    the one place a sector is checked.
     """
 
     angles: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coerced = tuple(a if type(a) is Fraction else Fraction(a) for a in self.angles)
+        coerced = tuple(a if type(a) is Fraction else _rational(a) for a in self.angles)
         if not coerced:
             raise ValueError("an angle sequence needs at least one sector")
         for a in coerced:
@@ -160,6 +160,20 @@ class MVAssignment:
 
     def flipped(self) -> "MVAssignment":
         return MVAssignment(tuple(l.flipped() for l in self.labels))
+
+
+Labels = Union[MVAssignment, str, Sequence[str]]
+
+
+def _as_assignment(labels: Labels) -> MVAssignment:
+    """Labels in any form as an `MVAssignment`: one is kept as it is, a string
+    goes through `MVAssignment.from_string`, and any other sequence through
+    `MVAssignment`. Every function that takes labels reads them here."""
+    if isinstance(labels, MVAssignment):
+        return labels
+    if isinstance(labels, str):
+        return MVAssignment.from_string(labels)
+    return MVAssignment(tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -315,7 +329,7 @@ class CreasePattern:
         points: Iterable[tuple[Rational, Rational]],
         creases: Iterable[tuple[int, int]],
         boundary: Iterable[int],
-        assignment: Union[MVAssignment, str, Sequence[str], None] = None,
+        assignment: Optional[Labels] = None,
         split_vertices: Iterable[int] = (),
     ) -> "CreasePattern":
         """Construct from raw coordinates, deriving the border flags, and
@@ -325,18 +339,18 @@ class CreasePattern:
         boundary = tuple(_index(i, "border") for i in boundary)
         split = frozenset(_index(i, "split tag") for i in split_vertices)
         geometry = _integer_geometry(pts, boundary)
-        if isinstance(assignment, str):
-            assignment = MVAssignment.from_string(assignment)
-        elif assignment is not None and not isinstance(assignment, MVAssignment):
-            assignment = MVAssignment(tuple(assignment))
+        if assignment is not None:
+            assignment = _as_assignment(assignment)
         vertices = tuple(Vertex(x, y, flag) for (x, y), flag in zip(pts, geometry[1]))
         p = _assemble(vertices=vertices, creases=creases, boundary=boundary,
                       assignment=assignment, split_vertices=split, _geometry=geometry)
         _validate_pattern(p)
         return p
 
-    def with_assignment(self, assignment: MVAssignment) -> "CreasePattern":
-        """The same pattern relabelled; checks the label count, not the geometry."""
+    def with_assignment(self, assignment: Labels) -> "CreasePattern":
+        """The same pattern relabelled; checks the labels and their count, not
+        the geometry."""
+        assignment = _as_assignment(assignment)
         _check_label_count(assignment, self.creases)
         return _assemble(**{**self.__dict__, "assignment": assignment})
 
@@ -368,12 +382,20 @@ class CreasePattern:
 
 
 def _rational(c: Rational) -> Fraction:
-    """A coordinate: a `Fraction` is kept as it is, anything else coerced."""
-    return c if type(c) is Fraction else Fraction(c)
+    """A coordinate or a sector: a `Fraction` is kept as it is, a bool is
+    refused by name (`Fraction` would read it as 1 or 0), and anything else
+    is coerced."""
+    if type(c) is Fraction:
+        return c
+    if type(c) is bool:
+        raise TypeError("a number was expected, got %r" % c)
+    return Fraction(c)
 
 
 def _index(value, field: str) -> int:
     try:
+        if type(value) is bool:  # operator.index(True) is 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise StructuralError("%s index must be an integer, got %r" % (field, value)) from None

@@ -26,9 +26,10 @@ flaps (`_restricted_net`). Only (a) reads a label. Which fold pairs fall
 under (b) and which sheets straddle a fold for (c) follow from the folded
 geometry alone, so each model turns them into label-free tables once
 (`_constraint_tables`), and every labeling's search reads them; (a) becomes
-the window of slots where each inserted sheet may go. One driver,
-`_stacking`, runs that search and re-checks every witness it finds with
-`stacking_valid`, for a whole vertex and a restricted run alike.
+the window of slots where each inserted sheet may go, read when the sheet is
+inserted. One driver, `_stacking`, reads the labels through `MVAssignment`,
+runs that search and re-checks every witness it finds with `stacking_valid`,
+for a whole vertex and a restricted run alike.
 
 `enumerate_valid`, the one enumeration routine, folds the vertex once, then
 searches stackings per assignment, up to `DEFAULT_LIMIT` sectors; only
@@ -42,9 +43,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .core import AngleSequence, MVAssignment, MVLabel
+from .core import AngleSequence, Labels, MVAssignment, MVLabel, _as_assignment
 from .errors import CapacityError, NotFlatFoldableError, UnsupportedError
 from .vertex import RunCondition
 
@@ -134,13 +135,12 @@ def _interleaved(a1: int, a2: int, b1: int, b2: int) -> bool:
     return a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
 
 
-def stacking_valid(
-    model: LayerModel, mv: Union[MVAssignment, Sequence[MVLabel]], stacking: Sequence[int]
-) -> bool:
+def stacking_valid(model: LayerModel, mv: Labels, stacking: Sequence[int]) -> bool:
     """Check one bottom-to-top sheet order against all three constraints.
-    ``mv`` holds one label per fold of the model, and ``stacking`` is a
-    permutation of its sheets."""
+    ``mv`` holds one label per fold of the model, read as `MVAssignment`
+    reads labels, and ``stacking`` is a permutation of its sheets."""
     sheets, folds = model.sheets, model.folds
+    mv = _as_assignment(mv)
     if len(mv) != len(folds):
         raise ValueError("assignment length must match the number of creases")
     if sorted(stacking) != list(range(len(sheets))):
@@ -215,18 +215,14 @@ def _search(model: LayerModel, labels: Sequence[MVLabel]) -> Optional[list[int]]
 
     Constraint (a), the only one that reads a label, narrows the slots where
     sheet j may go to a window above or below each closing fold's other
-    sheet; the window is worked out once per labeling. At a slot, only the
-    (b) and (c) entries of step j are checked, on integer levels that are
-    kept up to date as sheet j moves up through its window.
+    sheet; the node that places sheet j reads those folds' labels, so a
+    labeling refuted early reads only the labels of the steps it reached. At
+    a slot, only the (b) and (c) entries of step j are checked, on integer
+    levels that are kept up to date as sheet j moves up through its window.
     """
     tables = model._tables
-    pairs, straddles = tables.pairs, tables.straddles
+    closing, pairs, straddles = tables.closing, tables.pairs, tables.straddles
     n = len(pairs)
-    # windows[j]: (other sheet, whether sheet j must lie above it)
-    windows = [
-        [(other, (labels[fi] is MVLabel.VALLEY) == above) for fi, other, above in closing]
-        for closing in tables.closing
-    ]
     order = [0]
     level = [0] * n
 
@@ -248,8 +244,8 @@ def _search(model: LayerModel, labels: Sequence[MVLabel]) -> Optional[list[int]]
         if j == n:
             return list(order)
         lo, hi = 0, j
-        for other, above in windows[j]:
-            if above:
+        for fi, other, above in closing[j]:
+            if (labels[fi] is MVLabel.VALLEY) == above:
                 lo = max(lo, level[other] + 1)
             else:
                 hi = min(hi, level[other])
@@ -281,29 +277,27 @@ def _search(model: LayerModel, labels: Sequence[MVLabel]) -> Optional[list[int]]
     return rec(1)
 
 
-def _stacking(
-    model: LayerModel, labels: Union[MVAssignment, Sequence[MVLabel]]
-) -> Optional[tuple[int, ...]]:
-    """The one search driver: a witness stacking of the model under the
-    labels, or None. Every witness is re-checked against the constraints
-    themselves, which the search only reads through the model's tables."""
-    if len(labels) != len(model.folds):
+def _stacking(model: LayerModel, labels: Labels) -> Optional[tuple[int, ...]]:
+    """The one search driver and the one label door: a witness stacking of
+    the model under the labels, read as `MVAssignment` reads them, or None.
+    Every witness is re-checked against the constraints themselves, which
+    the search only reads through the model's tables."""
+    mv = _as_assignment(labels)
+    if len(mv) != len(model.folds):
         raise ValueError("assignment length must match the number of creases")
-    found = _search(model, labels)
+    found = _search(model, mv.labels)
     if found is None:
         return None
-    assert stacking_valid(model, labels, found)
+    assert stacking_valid(model, mv, found)
     return tuple(found)
 
 
-def find_stacking(v: AngleSequence, mv: MVAssignment) -> Optional[tuple[int, ...]]:
+def find_stacking(v: AngleSequence, mv: Labels) -> Optional[tuple[int, ...]]:
     """A witness stacking for the assignment, or None if there is none."""
     return _stacking(fold_directions(v), mv)
 
 
-def oracle_is_valid(
-    v: AngleSequence, mv: MVAssignment, *, limit: int = DEFAULT_LIMIT
-) -> bool:
+def oracle_is_valid(v: AngleSequence, mv: Labels, *, limit: int = DEFAULT_LIMIT) -> bool:
     """Definitional validity: some stacking folds the labels flat without
     the paper crossing itself."""
     model = _vertex_net(v, limit)
@@ -345,11 +339,7 @@ def oracle_count(v: AngleSequence) -> int:
     return len(enumerate_valid(v))
 
 
-def run_restricted_valid(
-    v: AngleSequence,
-    run: RunCondition,
-    labels: Union[MVAssignment, Sequence[MVLabel]],
-) -> bool:
+def run_restricted_valid(v: AngleSequence, run: RunCondition, labels: Labels) -> bool:
     """Fold only the creases of a maximal equal-angle run, leaving the rest
     of the paper as an unfolded cone, and ask whether the labels work.
 
@@ -358,9 +348,7 @@ def run_restricted_valid(
     span the whole folded stack, and the unfolded cone beyond them bulges
     away from the flat layers, so it imposes no ordering of its own.
     """
-    model = _restricted_net(v, run)
-    mv = labels if isinstance(labels, MVAssignment) else MVAssignment(tuple(labels))
-    return _stacking(model, mv) is not None
+    return _stacking(_restricted_net(v, run), labels) is not None
 
 
 def _restricted_net(v: AngleSequence, run: RunCondition) -> LayerModel:

@@ -21,7 +21,7 @@ from math import comb
 from operator import ne
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .core import AngleSequence, CountResult, MVAssignment, ReductionStep
+from .core import AngleSequence, CountResult, Labels, MVAssignment, ReductionStep, _as_assignment
 from .errors import CapacityError, NotFlatFoldableError, ParityError
 
 
@@ -48,9 +48,9 @@ def kawasaki(v: AngleSequence) -> bool:
     return _closes(v.scaled[0])
 
 
-def maekawa_check(mv: MVAssignment) -> bool:
+def maekawa_check(mv: Labels) -> bool:
     """Mountain/valley parity rule: M - V must be +2 or -2."""
-    return abs(mv.tally) == 2
+    return abs(_as_assignment(mv).tally) == 2
 
 
 class RunCondition(NamedTuple):
@@ -114,7 +114,7 @@ def _check_run_against(v: AngleSequence, run: RunCondition) -> None:
         raise ValueError("restricted folding needs strictly larger flanking sectors")
 
 
-def run_validity(v: AngleSequence, run: RunCondition, mv: MVAssignment) -> bool:
+def run_validity(v: AngleSequence, run: RunCondition, mv: Labels) -> bool:
     """Whether the labels fold the run's creases flat in isolation.
 
     ``mv`` may label the whole vertex (the run's creases are picked out) or
@@ -123,6 +123,7 @@ def run_validity(v: AngleSequence, run: RunCondition, mv: MVAssignment) -> bool:
     of the paper acting as an unfolded cone.
     """
     _check_run_against(v, run)
+    mv = _as_assignment(mv)
     if len(mv) == len(v):
         mv = MVAssignment(tuple(mv[c] for c in run.creases))
     elif len(mv) != run.k + 2:
@@ -133,7 +134,7 @@ def run_validity(v: AngleSequence, run: RunCondition, mv: MVAssignment) -> bool:
     return mv.tally in run.allowed_tallies
 
 
-def crimp_validity(v: AngleSequence, mv: MVAssignment) -> bool:
+def crimp_validity(v: AngleSequence, mv: Labels) -> bool:
     """Decide whether an assignment folds flat, by repeated crimping.
 
     Finds a sector no larger than both neighbours whose bounding creases
@@ -149,6 +150,7 @@ def crimp_validity(v: AngleSequence, mv: MVAssignment) -> bool:
         raise NotFlatFoldableError(
             "closure fails, so no assignment folds this vertex flat"
         )
+    mv = _as_assignment(mv)
     if len(mv) != len(v):
         raise ValueError("assignment length must match the number of creases")
     sectors = list(ints)

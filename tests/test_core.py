@@ -60,6 +60,13 @@ def test_angle_sequence_accepts_rationals():
     assert all(type(a) is Fraction for a in seq)
 
 
+@pytest.mark.parametrize("angles", [(True, 1), (90, 90, 90, False)])
+def test_angle_sequence_refuses_booleans(angles):
+    # not the sectors (1, 1), nor a zero sector
+    with pytest.raises(TypeError, match="^a number was expected, got (True|False)$"):
+        AngleSequence(angles)
+
+
 @given(st.fractions(max_value=0, min_value=-1000, max_denominator=50))
 def test_angle_sequence_rejects_nonpositive(value):
     with pytest.raises(ValueError, match="sector angles must be positive, got %s$" % value):
@@ -281,13 +288,31 @@ class TestPatternValidation:
             ([(4.9, 1)], (0, 1, 2, 3), (), "crease"),
             ([(4, 1)], (0, 1.7, 2, 3), (), "border"),
             ([(4, 1)], (0, 1, 2, 3), (4.2,), "split tag"),
+            ([(4, True)], (0, 1, 2, 3), (), "crease"),
+            ([(4, 1)], (0, True, 2, 3), (), "border"),
+            ([(4, 1)], (0, 1, 2, 3), (False,), "split tag"),
         ],
-        ids=["crease", "border", "split-tag"],
+        ids=["crease", "border", "split-tag", "crease-bool", "border-bool", "split-tag-bool"],
     )
     def test_non_integer_index_is_refused(self, creases, boundary, split, field):
-        # refused by name: not truncated (4.9 to 4), and not a bare TypeError
+        # refused by name: not truncated (4.9 to 4) nor read as a number
+        # (True as 1), and not a bare TypeError
         with pytest.raises(StructuralError, match="^%s index must be an integer" % field):
             CreasePattern.build(square() + [(2, 2)], creases, boundary, split_vertices=split)
+
+    def test_boolean_coordinate_is_refused(self):
+        # read as the number 0 it would build a square
+        with pytest.raises(TypeError, match="^a number was expected, got False$"):
+            CreasePattern.build([(0, 0), (4, 0), (4, 4), (False, 4)], [], boundary=(0, 1, 2, 3))
+
+    def test_with_assignment_reads_labels_as_build_does(self):
+        pts = square() + [(2, 2), (2, 0)]
+        p = CreasePattern.build(pts, [(4, 5)], boundary=(0, 1, 2, 3))
+        built = CreasePattern.build(pts, [(4, 5)], boundary=(0, 1, 2, 3), assignment="V")
+        for labels in ("V", "v", ["V"], (MVLabel.VALLEY,), built.assignment):
+            assert p.with_assignment(labels).assignment == built.assignment
+        with pytest.raises(ValueError, match="^assignment strings may only contain M and V"):
+            p.with_assignment("x")
 
     def test_build_is_the_only_constructor(self):
         p = CreasePattern.build(square() + [(2, 2)], [(4, 1)], boundary=(0, 1, 2, 3))

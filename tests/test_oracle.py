@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import random
@@ -574,3 +575,100 @@ class TestReferenceSearch:
             calls.clear()
             assert enumerate_valid(seq)
             assert calls == [len(seq)]
+
+
+class TestLabelDoor:
+    """`_stacking` reads labels as `MVAssignment` does, so every oracle entry
+    gives one answer for a word, its lower case, a list of "M"/"V" and the
+    assignment."""
+
+    @staticmethod
+    def forms(mv):
+        word = str(mv)
+        return [word, word.lower(), list(word), mv]
+
+    def test_one_answer_for_every_form(self):
+        rng = random.Random(18)
+        stars = [SQUARE] + seeded_stars(18)
+        assert any(not v.is_flat for v in stars)
+        answers = set()
+        for v in stars:
+            model = fold_directions(v)
+            labelings = enumerate_valid(v)[:6] + rng.sample(all_assignments(len(v)), 6)
+            for mv in labelings:
+                witness = find_stacking(v, mv)
+                valid = witness is not None
+                assert valid == crimp_validity(v, mv)
+                stacking = witness or tuple(range(len(v)))
+                for labels in self.forms(mv):
+                    assert oracle_is_valid(v, labels) == valid
+                    assert find_stacking(v, labels) == witness
+                    assert stacking_valid(model, labels, stacking) == valid
+                answers.add(valid)
+            for run in find_runs(v):
+                for mv in rng.sample(all_assignments(run.k + 2), min(6, 2 ** (run.k + 2))):
+                    valid = run_restricted_valid(v, run, mv)
+                    assert valid == run_validity(v, run, mv)
+                    for labels in self.forms(mv):
+                        assert run_restricted_valid(v, run, labels) == valid
+        assert answers == {True, False}
+
+    def test_a_bad_word_is_refused(self):
+        model = fold_directions(SQUARE)
+        (run,) = find_runs(MIRROR)
+        for decide in (
+            lambda: oracle_is_valid(SQUARE, "xyzw"),
+            lambda: find_stacking(SQUARE, "xyzw"),
+            lambda: stacking_valid(model, "xyzw", (0, 1, 2, 3)),
+            lambda: run_restricted_valid(MIRROR, run, "xyz"),
+        ):
+            with pytest.raises(ValueError, match="^assignment strings may only contain M and V"):
+                decide()
+
+
+class _ReadLog(tuple):
+    """A table that records the indices read from it; iterating reads all."""
+
+    def __new__(cls, items):
+        table = super().__new__(cls, items)
+        table.read = []
+        return table
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        self.read.extend(range(len(self)))
+        return tuple.__iter__(self)
+
+
+class TestLabelsReadInPlace:
+    """The search reads constraint (a) at the node that places sheet j, so a
+    labeling refuted while placing sheet j reads no step past j, and no
+    label of a fold that closes later."""
+
+    def test_a_refuted_labeling_reads_no_step_past_the_last_it_places(self):
+        refuted = early = 0
+        for v in seeded_stars(10) + [CONE_7_11_13]:
+            model = fold_directions(v)
+            tables = model._tables
+            n = len(tables.closing)
+            closes_at = {fi: j for j, step in enumerate(tables.closing) for fi, _o, _a in step}
+            for mv in all_assignments(len(v)):
+                if not maekawa_check(mv):
+                    continue
+                steps, labels = _ReadLog(tables.closing), _ReadLog(mv.labels)
+                logged = oracle_module.LayerModel(model.sheets, model.folds)
+                logged.__dict__["_tables"] = dataclasses.replace(tables, closing=steps)
+                found = oracle_module._search(logged, labels)
+                last = max(steps.read)
+                assert set(steps.read) == set(range(1, last + 1)), (v.as_strings(), str(mv))
+                assert all(closes_at[fi] <= last for fi in labels.read)
+                assert find_stacking(v, mv) == (None if found is None else tuple(found))
+                if found is None:
+                    refuted += 1
+                    early += last < n - 1
+                else:
+                    assert last == n - 1 and stacking_valid(model, mv, found)
+        assert 0 < early < refuted

@@ -258,6 +258,13 @@ class TestGeneralizedMaekawa:
         with pytest.raises(ValueError):
             generalized_maekawa(cross_pattern())
 
+    @pytest.mark.parametrize("labels", ["MMMV", "mmmv", ["M", "M", "M", "V"]])
+    def test_relabelled_pattern_reads_labels_as_build_does(self, labels):
+        # not four valleys, which would fail the local parity check
+        assert generalized_maekawa(cross_pattern().with_assignment(labels)) == (
+            generalized_maekawa(cross_pattern("MMMV"))
+        )
+
     def test_holds_on_random_patterns(self):
         rng = random.Random(2024)
         checked = 0

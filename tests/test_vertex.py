@@ -184,6 +184,34 @@ class TestRunValidity:
             run_validity(v, run, MVAssignment.from_string("MV"))
 
 
+class TestLabelForms:
+    """The deciders here read labels as `MVAssignment` does, so a word, its
+    lower case, a list of "M"/"V" and the assignment get one answer."""
+
+    def test_one_answer_for_every_form(self):
+        v = AngleSequence((100, 80, 80, 100))
+        (run,) = find_runs(v)
+        for word in map("".join, itertools.product("MV", repeat=4)):
+            mv = MVAssignment.from_string(word)
+            for labels in (word, word.lower(), list(word)):
+                assert maekawa_check(labels) == maekawa_check(mv)
+                assert crimp_validity(v, labels) == crimp_validity(v, mv)
+                assert run_validity(v, run, labels) == run_validity(v, run, mv)
+                # a word of the run's length: creases 1..3
+                assert run_validity(v, run, labels[1:]) == run_validity(v, run, mv)
+
+    def test_a_bad_word_is_refused(self):
+        v = AngleSequence((100, 80, 80, 100))
+        (run,) = find_runs(v)
+        for decide in (
+            lambda: maekawa_check("MMXV"),
+            lambda: crimp_validity(v, "MMXV"),
+            lambda: run_validity(v, run, "MXV"),
+        ):
+            with pytest.raises(ValueError, match="^assignment strings may only contain M and V"):
+                decide()
+
+
 class TestCrimpValidity:
     def test_square_vertex_any_odd_one_out(self):
         v = AngleSequence((90, 90, 90, 90))
