@@ -92,7 +92,7 @@ def parse_angles(text: str) -> AngleSequence:
             value = _angle_value(tok)
         except (ValueError, ZeroDivisionError):
             raise ParseError("malformed angle %r at position %d" % (tok, i + 1)) from None
-        if value <= 0:
+        if value.numerator <= 0:
             raise ParseError("non-positive angle %r at position %d" % (tok, i + 1))
         angles.append(value)
     # Refuse a star whose exact results may not print. A count is below
@@ -292,14 +292,21 @@ def _text_lines(value: Any, prefix: str = "") -> list[str]:
     return lines
 
 
+# The characters that `json.encoder.encode_basestring_ascii` copies as they
+# are: printable ASCII but '"' and '\\'. It escapes every other one.
+_UNESCAPED = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
 def _json(value: Any) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
     The indenting encoder of `json` is pure Python, and a count report is
     mostly residuals: lists of sector strings, each repeating most of the one
-    before. Here a list of strings is joined in one go, and each distinct
-    string is escaped once per report. Floats, and subclasses of str and
-    int, go to `json.dumps`.
+    before. Here each dict or list level is one join, and each distinct
+    string is escaped once per report. A list of plain strings that the
+    encoder leaves as they are (`_UNESCAPED`), such as a residual, is joined
+    whole with its quotes in the separator. Floats, and subclasses of str
+    and int, go to `json.dumps`.
     """
     escape = functools.cache(json.encoder.encode_basestring_ascii)
 
@@ -313,20 +320,30 @@ def _json(value: Any) -> str:
         if type(value) is bool:
             return "true" if value else "false"
         inner = indent + "  "
+        parts = []
         if isinstance(value, dict):
-            if not value:
-                return "{}"
-            items = [escape(key) + ": " + render(value[key], inner) for key in sorted(value)]
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
+            for key in sorted(value):
+                parts += (",", inner, escape(key), ": ", render(value[key], inner))
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)):
             if {*map(type, value)} == {str}:
+                whole = "".join(value)
+                if whole.isascii() and not whole.encode().translate(None, _UNESCAPED):
+                    quoted = ('",' + inner + '"').join(value)
+                    return "".join(("[", inner, '"', quoted, '"', indent, "]"))
                 items = map(escape, value)
             else:
-                items = [render(item, inner) for item in value]
-            return "[" + inner + ("," + inner).join(items) + indent + "]"
-        return json.dumps(value)
+                items = (render(item, inner) for item in value)
+            for item in items:
+                parts += (",", inner, item)
+            brackets = "[]"
+        else:
+            return json.dumps(value)
+        if not parts:
+            return brackets
+        parts[0] = brackets[0]
+        parts += (indent, brackets[1])
+        return "".join(parts)
 
     return render(value, "\n")
 

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ExactnessError, PlanarityError, StructuralError
 
-Rational = Union[int, str, Fraction]
+Rational = Union[int, float, str, Fraction]
 Point = tuple[Fraction, Fraction]
 
 FULL_TURN = Fraction(360)
@@ -35,7 +35,8 @@ class AngleSequence:
     Index ``i`` is the sector between crease ``i`` and crease ``i + 1``; the
     sector after the last crease wraps around to crease 0. Each sector is a
     positive angle in degrees: a `Fraction` is kept as it is, a bool is
-    refused, and anything else is coerced with ``Fraction(...)``. This is
+    refused, a float is read as the decimal it prints as (``30.1`` is
+    301/10), and anything else is coerced with ``Fraction(...)``. This is
     the one place a sector is checked.
     """
 
@@ -383,12 +384,15 @@ class CreasePattern:
 
 def _rational(c: Rational) -> Fraction:
     """A coordinate or a sector: a `Fraction` is kept as it is, a bool is
-    refused by name (`Fraction` would read it as 1 or 0), and anything else
-    is coerced."""
+    refused by name (`Fraction` would read it as 1 or 0), a float is read as
+    the shortest decimal that prints it (``0.1`` is 1/10, not its binary
+    value; nan and inf raise `ValueError`), and anything else is coerced."""
     if type(c) is Fraction:
         return c
     if type(c) is bool:
         raise TypeError("a number was expected, got %r" % c)
+    if isinstance(c, float):
+        return Fraction(float.__repr__(c))
     return Fraction(c)
 
 

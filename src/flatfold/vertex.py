@@ -187,7 +187,7 @@ def bounds(v: AngleSequence) -> tuple[int, int]:
     return (2 ** n, 2 * comb(m, n - 1))
 
 
-def _default_pick(seq: list[int]) -> RunCondition:
+def _default_pick(seq: tuple[int, ...]) -> RunCondition:
     """The run of smallest sector, then smallest start: the order every trace
     follows. Every maximal run of the smallest sector has strictly larger
     neighbours, so the first of them is that run; C-level scans find it."""
@@ -204,7 +204,7 @@ def _default_pick(seq: list[int]) -> RunCondition:
     return RunCondition(start, end - start - 1, m)
 
 
-def _first_other(seq: list[int], lo: int, i: int) -> int:
+def _first_other(seq: tuple[int, ...], lo: int, i: int) -> int:
     """The first index from ``i`` on whose sector is not ``lo``, or ``len(seq)``."""
     m = len(seq)
     return next(compress(range(i, m), map(lo.__ne__, islice(seq, i, None))), m)
@@ -221,24 +221,31 @@ def _base(m: int) -> int:
     return 2 * comb(m, m // 2 - 1)
 
 
-def _reductions(ints: Sequence[int], pick) -> Iterator[tuple[int, int, list[int]]]:
+def _reductions(ints: tuple[int, ...], pick) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """The steps of the counting recursion on a closing integer star, as
     ``(start, k, residual)``: ``pick(seq)`` returns the `RunCondition` to
     reduce of a star whose sectors are not all equal, sectors ``start ..
     start + k``. The last residual, or the star itself if there is no step,
-    has all sectors equal.
+    has all sectors equal. Each residual is one tuple built from at most two
+    slices of the one before.
     """
-    current = list(ints)
-    while current.count(current[0]) < len(current):
-        start, k, _ = pick(current)
-        # rotate the run's left neighbour to index 0, so the run is s[1 .. k + 1]
-        rot = (start - 1) % len(current)
-        s = current[rot:] + current[:rot]
-        if k % 2 == 0:
-            current = [s[0] - s[1] + s[k + 2]] + s[k + 3 :]
-        else:
-            current = [s[0]] + s[k + 2 :]
-        yield start, k, current
+    cur = ints
+    while cur.count(cur[0]) < len(cur):
+        start, k, _ = pick(cur)
+        n = len(cur)
+        # the residual starts at the run's left neighbour, then goes on from
+        # ``cut``, the first sector it keeps after the run, round to ``rot``
+        rot = (start - 1) % n
+        cut = rot + k + 2
+        head = cur[rot]
+        if k % 2 == 0:  # an odd number of sectors: merge the two neighbours
+            head += cur[cut - n] - cur[start]
+            cut += 1
+        if cut <= n:
+            cur = (head,) + cur[cut:] + cur[:rot]
+        else:  # the run, or the neighbour merged into ``head``, wraps past the end
+            cur = (head,) + cur[cut - n : rot]
+        yield start, k, cur
 
 
 def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
@@ -257,13 +264,13 @@ def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
     if not _closes(ints):
         raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
     limits = bounds(v)
-    residual: Sequence[int] = ints
+    residual: tuple[int, ...] = ints
     product = 1
     trace: list[ReductionStep] = []
     for start, k, residual in _reductions(ints, _pick):
         assert _closes(residual), "reduction must preserve closure"
         factor = _factor(k)
-        trace.append(ReductionStep(start, k + 1, factor, tuple(residual), den))
+        trace.append(ReductionStep(start, k + 1, factor, residual, den))
         product *= factor
     base = _base(len(residual))
     return CountResult(count=product * base, base=base, trace=tuple(trace), bounds=limits)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from flatfold import cli, core, oracle, vertex
 from flatfold.cli import _json, build_parser, emit_svg, main, parse_angles, parse_pattern
-from flatfold.core import AngleSequence, CreasePattern, normalize_pattern
+from flatfold.core import AngleSequence, CreasePattern, MVLabel, normalize_pattern
 from flatfold.errors import ParseError, PlanarityError, SchemaError
 from flatfold.pattern import curve_around_vertex
 
@@ -300,8 +300,28 @@ class TestJsonRenderer:
     @given(_JSON_VALUES)
     @example([True, 1, False, 0, "1", None, 1.5, -(2**100), [], {}])
     @example({"b": ["1/3", "1/3", "é"], "a": [["x", 2], "x"], "": {"z": [], "y": {}}})
+    # a list of plain strings is joined whole only when the encoder would
+    # escape none of them: printable ASCII without '"' or '\\'
+    @example(["1/3", 'a"b'])
+    @example(["\\", "2"])
+    @example(["x\x1f", "y"])
+    @example(["\x7f"])
+    @example(["~", " ", "", "~"])
+    @example(["", ""])
+    @example([""])
+    @example({"residual": ["é", "1"], "angles": ["1", "é"]})
+    @example(["1", "\ud800"])
+    @example([MVLabel.MOUNTAIN, "M", "V"])
+    @example(["M", MVLabel.VALLEY])
+    @example(("1/3", "45/2", "90"))
+    @example([("x", "y"), ["z"], ("w", 1)])
     def test_matches_the_indenting_encoder(self, value):
         assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_joins_whole_exactly_the_lists_the_encoder_copies(self):
+        for c in map(chr, range(0x80)):
+            value = ["1/3", c + "x", c]
+            assert _json(value) == json.dumps(value, indent=2, sort_keys=True), repr(c)
 
     def test_rerenders_every_golden_report(self):
         paths = sorted((Path(__file__).parent / "data" / "golden").glob("*.json"))

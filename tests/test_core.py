@@ -16,6 +16,7 @@ from flatfold.core import (
     vertex_star,
 )
 from flatfold.errors import ExactnessError, PlanarityError, StructuralError
+from flatfold.vertex import count_mv, kawasaki
 import generators
 
 
@@ -65,6 +66,20 @@ def test_angle_sequence_refuses_booleans(angles):
     # not the sectors (1, 1), nor a zero sector
     with pytest.raises(TypeError, match="^a number was expected, got (True|False)$"):
         AngleSequence(angles)
+
+
+def test_float_sectors_are_the_decimals_they_print_as():
+    # Fraction(30.1) is the binary value, so the sum would miss 360
+    v = AngleSequence((30.1, 60.2, 149.9, 119.8))
+    assert v == AngleSequence(("30.1", "60.2", "149.9", "119.8"))
+    assert v.is_flat and kawasaki(v)
+    assert count_mv(v).count == 4
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_angle_sequence_refuses_nan_and_infinity(value):
+    with pytest.raises(ValueError):
+        AngleSequence((90, value))
 
 
 @given(st.fractions(max_value=0, min_value=-1000, max_denominator=50))
@@ -304,6 +319,13 @@ class TestPatternValidation:
         # read as the number 0 it would build a square
         with pytest.raises(TypeError, match="^a number was expected, got False$"):
             CreasePattern.build([(0, 0), (4, 0), (4, 4), (False, 4)], [], boundary=(0, 1, 2, 3))
+
+    def test_float_coordinate_is_its_decimal(self):
+        p = CreasePattern.build([(0, 0), (1, 0), (1, 1), (0, 1), (0.1, 0.5), (0.1, 0)],
+                                [(4, 5)], boundary=(0, 5, 1, 2, 3))
+        assert p.point(4) == (Fraction(1, 10), Fraction(1, 2))
+        assert p.point(5) == (Fraction(1, 10), 0)
+        assert p.vertices[5].on_boundary
 
     def test_with_assignment_reads_labels_as_build_does(self):
         pts = square() + [(2, 2), (2, 0)]

@@ -134,6 +134,8 @@ def _assert_same_count(v):
     assert len(result.trace) == len(trace)
     for step, (start, length, factor, residual) in zip(result.trace, trace):
         assert (step.start, step.length, step.factor) == (start, length, factor)
+        assert type(step.scaled_residual) is tuple
+        assert all(type(n) is int for n in step.scaled_residual)
         assert step.residual == residual
 
 
@@ -148,6 +150,25 @@ def test_count_matches_reference_on_seeded_stars():
     assert any(not v.is_flat for v in stars)
     for v in stars:
         _assert_same_count(v)
+
+
+def test_seeded_stars_reduce_runs_that_wrap():
+    """A residual is sliced from the star before it in two pieces, or in one
+    when the run, or the neighbour merged past it, wraps past the end. The
+    seeded stars that `test_count_matches_reference_on_seeded_stars` checks
+    reach both cases for runs of odd and of even k."""
+    seen = set()
+
+    def recording_pick(seq):
+        run = vertex._default_pick(seq)
+        rot = (run.start - 1) % run.m
+        cut = rot + run.k + (3 if run.k % 2 == 0 else 2)
+        seen.add((run.k % 2, cut > run.m))
+        return run
+
+    for v in seeded_stars((4, 10, 24, 60, 150, 400), 1):
+        count_mv(v, _pick=recording_pick)
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
 def test_crimp_matches_reference_on_every_assignment(corpus_small):
