@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -29,6 +30,7 @@ from .core import (
     CreasePattern,
     MVAssignment,
     MVLabel,
+    _sector_name,
     normalize_pattern,
 )
 from .errors import (
@@ -57,19 +59,23 @@ _NECESSARY_ONLY = (
 _MAX_TOKEN_CHARS = 100
 
 
-def _angle_value(tok: str) -> Fraction:
-    """``Fraction(tok)``, without its regex for the plain forms: an integer,
-    ``p/q`` and ``a.b``, each part made of ASCII digits only."""
+def _angle_pair(tok: str) -> tuple[int, int]:
+    """``Fraction(tok)`` as its numerator and denominator, without building
+    it for the plain forms: an integer, ``p/q`` and ``a.b``, each part made
+    of ASCII digits only."""
     if tok.isascii():
         if tok.isdigit():
-            return Fraction(int(tok))
-        p, sep, q = tok.partition("/")
-        if sep and p.isdigit() and q.isdigit():
-            return Fraction(int(p), int(q))
-        a, sep, b = tok.partition(".")
-        if sep and a.isdigit() and b.isdigit():
-            return Fraction(int(a + b), 10 ** len(b))
-    return Fraction(tok)
+            return int(tok), 1
+        for sep in "/.":
+            a, found, b = tok.partition(sep)
+            if found and a.isdigit() and b.isdigit():
+                p, q = (int(a), int(b)) if sep == "/" else (int(a + b), 10 ** len(b))
+                if not q:  # before the gcd, which is 5 for 5/0
+                    raise ZeroDivisionError(tok)
+                g = math.gcd(p, q)
+                return p // g, q // g
+    value = Fraction(tok)
+    return value.numerator, value.denominator
 
 
 def parse_angles(text: str) -> AngleSequence:
@@ -77,7 +83,7 @@ def parse_angles(text: str) -> AngleSequence:
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
         raise ParseError("no angles given")
-    angles = []
+    nums, dens = [], []
     for i, tok in enumerate(tokens):
         if len(tok) > _MAX_TOKEN_CHARS:
             raise ParseError(
@@ -89,19 +95,20 @@ def parse_angles(text: str) -> AngleSequence:
                 "exponent notation is not accepted: %r at position %d" % (tok, i + 1)
             )
         try:
-            value = _angle_value(tok)
+            p, q = _angle_pair(tok)
         except (ValueError, ZeroDivisionError):
             raise ParseError("malformed angle %r at position %d" % (tok, i + 1)) from None
-        if value.numerator <= 0:
+        if p <= 0:
             raise ParseError("non-positive angle %r at position %d" % (tok, i + 1))
-        angles.append(value)
+        nums.append(p)
+        dens.append(q)
+    den = math.lcm(*dens)
+    v = AngleSequence(map(operator.mul, nums, map(den.__floordiv__, dens)), den)
     # Refuse a star whose exact results may not print. A count is below
     # 2^(m+1); a total or residual has a denominator dividing the LCM of the
     # denominators and a numerator at most the total scaled by that LCM. A
     # number of b bits has at most b * 0.30103 + 1 digits, as log10(2) < 0.30103.
-    v = AngleSequence(tuple(angles))
-    ints, den = v.scaled
-    bits = max(len(ints) + 1, den.bit_length(), sum(ints).bit_length())
+    bits = max(len(v) + 1, v.den.bit_length(), sum(v.ints).bit_length())
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # read, never set
     if limit and bits * 30103 // 100000 + 1 > limit:
         raise ParseError(
@@ -275,14 +282,14 @@ def _text_lines(value: Any, prefix: str = "") -> list[str]:
     if isinstance(value, dict):
         for key in value:
             sub = value[key]
-            if isinstance(sub, (dict, list)) and sub:
+            if isinstance(sub, (dict, list, tuple)) and sub:
                 lines.append("%s%s:" % (prefix, key))
                 lines.extend(_text_lines(sub, prefix + "  "))
             else:
                 lines.append("%s%s: %s" % (prefix, key, _scalar(sub)))
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for item in value:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.append("%s-" % prefix)
                 lines.extend(_text_lines(item, prefix + "  "))
             else:
@@ -305,8 +312,9 @@ def _json(value: Any) -> str:
     before. Here each dict or list level is one join, and each distinct
     string is escaped once per report. A list of plain strings that the
     encoder leaves as they are (`_UNESCAPED`), such as a residual, is joined
-    whole with its quotes in the separator. Floats, and subclasses of str
-    and int, go to `json.dumps`.
+    whole with its quotes in the separator (`json` encodes a subclass of str
+    there by its data). Floats, and other subclasses of str and int, go to
+    `json.dumps`.
     """
     escape = functools.cache(json.encoder.encode_basestring_ascii)
 
@@ -326,14 +334,15 @@ def _json(value: Any) -> str:
                 parts += (",", inner, escape(key), ": ", render(value[key], inner))
             brackets = "{}"
         elif isinstance(value, (list, tuple)):
-            if {*map(type, value)} == {str}:
+            try:  # a list of strings, or TypeError at its first other item
                 whole = "".join(value)
-                if whole.isascii() and not whole.encode().translate(None, _UNESCAPED):
+            except TypeError:
+                items = (render(item, inner) for item in value)
+            else:
+                if value and whole.isascii() and not whole.encode().translate(None, _UNESCAPED):
                     quoted = ('",' + inner + '"').join(value)
                     return "".join(("[", inner, '"', quoted, '"', indent, "]"))
                 items = map(escape, value)
-            else:
-                items = (render(item, inner) for item in value)
             for item in items:
                 parts += (",", inner, item)
             brackets = "[]"
@@ -353,19 +362,12 @@ def _scalar(value: Any) -> str:
         return "-"
     if isinstance(value, bool):
         return "yes" if value else "no"
-    return str(value)
+    return "[]" if value == () else str(value)  # an empty tuple reads as a list
 
 
 _NO_FOLDINGS = "no flat foldings: the closure condition fails"
 
-
-def _input_block(v: AngleSequence) -> dict:
-    return {
-        "angles": v.as_strings(),
-        "creases": len(v),
-        "total": str(v.total),
-        "kind": v.kind,
-    }
+Result = tuple[Optional[dict], Optional[str]]
 
 
 class _SectorNames(dict):
@@ -376,28 +378,31 @@ class _SectorNames(dict):
         self.den = den
 
     def __missing__(self, n: int) -> str:
-        g = math.gcd(n, self.den)
-        name = self[n] = str(n // g) if g == self.den else "%d/%d" % (n // g, self.den // g)
+        name = self[n] = _sector_name(n, self.den)
         return name
 
 
-def _count_block(v: AngleSequence) -> tuple[Optional[dict], Optional[str]]:
+def _input_block(v: AngleSequence, names: _SectorNames) -> dict:
+    """The star as reported: ``angles`` is the tuple of its sectors' names."""
+    return {
+        "angles": tuple(map(names.__getitem__, v.ints)),
+        "creases": len(v),
+        "total": names[sum(v.ints)],
+        "kind": v.kind,
+    }
+
+
+def _count_block(v: AngleSequence, names: _SectorNames, sectors: tuple) -> Result:
+    """The count of ``v``, whose sectors are named ``sectors``; each residual's
+    names are spliced as its sectors were, so only its new head is named."""
     try:
         result = vxmod.count_mv(v)
     except NotFlatFoldableError:
         return None, _NO_FOLDINGS
-    # residuals share the star's denominator and repeat most of their
-    # sectors from step to step: render each distinct sector once
-    names = _SectorNames(v.scaled[1])
-    steps = [
-        {
-            "start": step.start,
-            "length": step.length,
-            "factor": step.factor,
-            "residual": list(map(names.__getitem__, step.scaled_residual)),
-        }
-        for step in result.trace
-    ]
+    steps = []
+    for start, length, factor, residual, _ in result.trace:
+        sectors = vxmod._splice(sectors, start, length - 1, names[residual[0]])
+        steps.append({"start": start, "length": length, "factor": factor, "residual": sectors})
     return (
         {
             "value": result.count,
@@ -409,14 +414,12 @@ def _count_block(v: AngleSequence) -> tuple[Optional[dict], Optional[str]]:
     )
 
 
-Result = tuple[Optional[dict], Optional[str]]
-
-
 def cmd_count(args) -> Result:
     """``count``, and ``analyze``, which adds degree parity, closure and bounds."""
     v = parse_angles(args.angles)
     even = len(v) % 2 == 0
-    report: dict[str, Any] = {"command": args.command, "input": _input_block(v)}
+    names = _SectorNames(v.den)
+    report: dict[str, Any] = {"command": args.command, "input": _input_block(v, names)}
     if args.command == "analyze":
         report["degree_even"] = even
         report["kawasaki"] = vxmod.kawasaki(v)
@@ -425,7 +428,7 @@ def cmd_count(args) -> Result:
             lo, hi = vxmod.bounds(v)
             report["bounds"] = {"lower": lo, "upper": hi}
     if even:
-        report["count"], report["reason"] = _count_block(v)
+        report["count"], report["reason"] = _count_block(v, names, report["input"]["angles"])
     else:
         report["count"] = None
         report["reason"] = "odd degree: flat-foldable vertices have even degree"
@@ -452,7 +455,7 @@ def cmd_check(args) -> Result:
         )
     report: dict[str, Any] = {
         "command": "check",
-        "input": _input_block(v),
+        "input": _input_block(v, _SectorNames(v.den)),
         "assignment": str(mv),
         "maekawa": vxmod.maekawa_check(mv),
     }
@@ -479,7 +482,9 @@ def cmd_check(args) -> Result:
 
 def cmd_enumerate(args) -> Result:
     v = parse_angles(args.angles)
-    report: dict[str, Any] = {"command": "enumerate", "input": _input_block(v)}
+    report: dict[str, Any] = {
+        "command": "enumerate", "input": _input_block(v, _SectorNames(v.den))
+    }
     if args.fast:
         # the name of the crimp filter that --fast ran before: the list is
         # the same, and scripts match on the name

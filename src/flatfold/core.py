@@ -1,6 +1,6 @@
 """Exact domain types shared by every other module.
 
-Coordinates and sector angles are rational numbers (`fractions.Fraction`);
+Coordinates are `Fraction`s, a star's sectors integers over one denominator;
 nothing here touches floating point. Angle equality therefore means exact
 equality, which the counting recursion depends on: it is discontinuous in
 whether two sectors are equal, so a tolerance would silently change counts.
@@ -18,41 +18,51 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import ExactnessError, PlanarityError, StructuralError
 
 Rational = Union[int, float, str, Fraction]
 Point = tuple[Fraction, Fraction]
 
-FULL_TURN = Fraction(360)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AngleSequence:
     """Consecutive sector angles around one interior vertex, in cyclic order.
 
     Index ``i`` is the sector between crease ``i`` and crease ``i + 1``; the
     sector after the last crease wraps around to crease 0. Each sector is a
-    positive angle in degrees: a `Fraction` is kept as it is, a bool is
-    refused, a float is read as the decimal it prints as (``30.1`` is
-    301/10), and anything else is coerced with ``Fraction(...)``. This is
-    the one place a sector is checked.
+    positive angle in degrees, kept as ``ints[i] / den`` in lowest terms, so
+    equal stars are equal and hash alike. ``AngleSequence(values)`` reads
+    values as `_rational` does (``30.1`` is 301/10), ``AngleSequence(ints,
+    den)`` ints over a positive int ``den``: either way, this is the one
+    place a sector is checked. The `Fraction`s, ``angles``, are built on read.
     """
 
-    angles: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        coerced = tuple(a if type(a) is Fraction else _rational(a) for a in self.angles)
-        if not coerced:
+    def __init__(self, angles: Iterable[Rational], den: Optional[int] = None):
+        if den is None:
+            fracs = tuple(a if type(a) is Fraction else _rational(a) for a in angles)
+            den = math.lcm(*(a.denominator for a in fracs))
+            ints = tuple(a.numerator * (den // a.denominator) for a in fracs)
+            object.__setattr__(self, "angles", fracs)  # as reading them would build
+        else:
+            ints = tuple(angles)
+            if {*map(type, ints), type(den)} != {int} or den <= 0:
+                raise TypeError("integer sectors are ints over a positive int denominator")
+        if not ints:
             raise ValueError("an angle sequence needs at least one sector")
-        for a in coerced:
-            if a.numerator <= 0:
-                raise ValueError("sector angles must be positive, got %s" % a)
-        object.__setattr__(self, "angles", coerced)
+        if min(ints) <= 0:
+            n = next(n for n in ints if n <= 0)
+            raise ValueError("sector angles must be positive, got %s" % _sector_name(n, den))
+        g = math.gcd(den, *ints)
+        object.__setattr__(self, "ints", tuple(n // g for n in ints) if g > 1 else ints)
+        object.__setattr__(self, "den", den // g)
 
     def __len__(self) -> int:
-        return len(self.angles)
+        return len(self.ints)
 
     def __iter__(self):
         return iter(self.angles)
@@ -61,43 +71,40 @@ class AngleSequence:
         return self.angles[i]
 
     def cyclic(self, i: int) -> Fraction:
-        return self.angles[i % len(self.angles)]
+        return self.angles[i % len(self.ints)]
+
+    @functools.cached_property
+    def angles(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.ints)
 
     @property
     def total(self) -> Fraction:
-        ints, den = self.scaled
-        return Fraction(sum(ints), den)
+        return Fraction(sum(self.ints), self.den)
 
     @property
     def is_flat(self) -> bool:
-        return self.total == FULL_TURN
+        return sum(self.ints) == 360 * self.den
 
     @property
     def kind(self) -> str:
         return "flat" if self.is_flat else "cone"
 
     def rotated(self, start: int) -> "AngleSequence":
-        start %= len(self.angles)
-        return AngleSequence(self.angles[start:] + self.angles[:start])
+        start %= len(self.ints)
+        return AngleSequence(self.ints[start:] + self.ints[:start], self.den)
 
     def mirrored(self) -> "AngleSequence":
         """The same vertex star read clockwise instead of counterclockwise."""
-        return AngleSequence(tuple(reversed(self.angles)))
+        return AngleSequence(self.ints[::-1], self.den)
 
     def as_strings(self) -> list[str]:
-        return [str(a) for a in self.angles]
+        return [_sector_name(n, self.den) for n in self.ints]
 
-    @functools.cached_property
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """The sectors as integers over one denominator, computed once.
 
-        Returns ``(ints, den)``: ``den`` is the LCM of the denominators and
-        ``ints[i] == angles[i] * den``. Sums, differences, order and equality
-        of sectors are exact on ``ints``, so the counting recursion and
-        crimping run on them.
-        """
-        den = math.lcm(*(a.denominator for a in self.angles))
-        return tuple(a.numerator * (den // a.denominator) for a in self.angles), den
+def _sector_name(n: int, den: int) -> str:
+    """``str(Fraction(n, den))`` for a positive ``den``, without the `Fraction`."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else "%d/%d" % (n // g, den // g)
 
 
 class MVLabel(str, Enum):
@@ -188,15 +195,14 @@ class Vertex:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One step of the counting recursion.
 
     ``start`` indexes the reduced run in the sequence the step was applied
     to, ``length`` is the number of equal sectors it removed, ``factor`` the
     multiplicative contribution, and ``residual`` what was left afterwards,
     kept as ``scaled_residual``: integers over the input star's ``den``
-    (see `AngleSequence.scaled`).
+    (see `AngleSequence`).
     """
 
     start: int
@@ -208,7 +214,7 @@ class ReductionStep:
     @property
     def residual(self) -> AngleSequence:
         """The residual star, built on demand."""
-        return AngleSequence(tuple(Fraction(n, self.den) for n in self.scaled_residual))
+        return AngleSequence(self.scaled_residual, self.den)
 
 
 @dataclass(frozen=True)
@@ -697,7 +703,7 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
     """
     directions = _interior(p, v, _directions(p, v))
     if len(directions) == 1:
-        return AngleSequence((FULL_TURN,))
+        return AngleSequence((360,), 1)
     thetas = [_direction_degrees_exact(d) for _, d in directions]
     if None in thetas:
         ci = min((cd for cd, t in zip(directions, thetas) if t is None),
@@ -708,4 +714,4 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
     thetas.sort()  # counterclockwise from +x
     sectors = [b - a for a, b in zip(thetas, thetas[1:])]
     sectors.append(360 - thetas[-1] + thetas[0])
-    return AngleSequence(tuple(sectors))
+    return AngleSequence(sectors, 1)

@@ -16,7 +16,7 @@ at an endpoint never conflicts. Everything is exact; no tolerances. One
 entry, `_vertex_net`, works out what the oracle needs of a whole star by
 itself, with none of the recursion's arithmetic: the integer scale, each
 sector times the LCM of the denominators (`_integer_sectors`, not
-`AngleSequence.scaled`; a positive scale keeps every order and equality),
+`AngleSequence.ints`; a positive scale keeps every order and equality),
 then the one-turn limit and closure on those integers.
 
 One folded net, `LayerModel`, serves both questions the oracle answers, and

@@ -6,7 +6,7 @@ never use the fact that the sectors sum to a full turn.
 
 The closure test, the counting recursion and crimping only add, subtract and
 compare sectors, so they run on the star's integer view
-(`AngleSequence.scaled`): every sector times the LCM of the denominators.
+(`AngleSequence.ints`): every sector times the LCM of the denominators.
 That keeps every equality, order and closure test exact.
 
 A `RunCondition` is the recursion's own run, ``(start, k, m)``; its creases
@@ -31,7 +31,7 @@ def alternating_sum(v: AngleSequence) -> Fraction:
         raise ParityError(
             "alternating sum needs an even number of sectors, got %d" % len(v)
         )
-    return sum(v.angles[0::2]) - sum(v.angles[1::2])
+    return Fraction(sum(v.ints[0::2]) - sum(v.ints[1::2]), v.den)
 
 
 def _closes(ints: Sequence[int]) -> bool:
@@ -45,7 +45,7 @@ def kawasaki(v: AngleSequence) -> bool:
     on flat paper and on cones alike. Odd degree returns False rather than
     raising: a flat-foldable vertex always has even degree.
     """
-    return _closes(v.scaled[0])
+    return _closes(v.ints)
 
 
 def maekawa_check(mv: Labels) -> bool:
@@ -100,17 +100,17 @@ def find_runs(v: AngleSequence) -> list[RunCondition]:
     Wrap-around runs are reported with their true (cyclic) start index.
     Returns an empty list exactly when all sectors are equal.
     """
-    return _runs(v.scaled[0])
+    return _runs(v.ints)
 
 
 def _check_run_against(v: AngleSequence, run: RunCondition) -> None:
     m = len(v)
     if run.m != m or not 0 <= run.start < m or not 0 <= run.k <= m - 2:
         raise ValueError("run %r does not fit a star of %d creases" % (tuple(run), m))
-    val = v.cyclic(run.start)
-    if any(v.cyclic(run.start + j) != val for j in range(run.k + 1)):
+    ints, val = v.ints, v.ints[run.start]
+    if any(ints[(run.start + j) % m] != val for j in range(run.k + 1)):
         raise ValueError("run sectors are not all equal in this sequence")
-    if not (v.cyclic(run.start - 1) > val and v.cyclic(run.start + run.k + 1) > val):
+    if not (ints[run.start - 1] > val and ints[(run.start + run.k + 1) % m] > val):
         raise ValueError("restricted folding needs strictly larger flanking sectors")
 
 
@@ -142,10 +142,9 @@ def crimp_validity(v: AngleSequence, mv: Labels) -> bool:
     repeats. One base case: two creases remain, valid iff both angles and
     both labels agree. No eligible sector left means invalid. Scans for the
     first eligible sector in index order; any eligible crimp preserves
-    validity. Works on `AngleSequence.scaled`, which a star computes once for
-    all the assignments it is asked about.
+    validity. Works on the star's integers, `AngleSequence.ints`.
     """
-    ints = v.scaled[0]
+    ints = v.ints
     if not _closes(ints):
         raise NotFlatFoldableError(
             "closure fails, so no assignment folds this vertex flat"
@@ -221,30 +220,34 @@ def _base(m: int) -> int:
     return 2 * comb(m, m // 2 - 1)
 
 
+def _splice(seq: tuple, start: int, k: int, head) -> tuple:
+    """``seq`` with its run ``start .. start + k`` reduced: ``head`` for the
+    left neighbour (and, for an odd run, the right one merged into it), then
+    the rest, in one tuple from at most two slices. Residuals and their
+    names in the report are both spliced here."""
+    n = len(seq)
+    # ``cut`` is the first sector kept after the run, ``rot`` the left neighbour
+    rot = (start - 1) % n
+    cut = rot + k + 3 - k % 2
+    if cut <= n:
+        return (head,) + seq[cut:] + seq[:rot]
+    return (head,) + seq[cut - n : rot]  # the run or the merged neighbour wraps
+
+
 def _reductions(ints: tuple[int, ...], pick) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """The steps of the counting recursion on a closing integer star, as
     ``(start, k, residual)``: ``pick(seq)`` returns the `RunCondition` to
     reduce of a star whose sectors are not all equal, sectors ``start ..
     start + k``. The last residual, or the star itself if there is no step,
-    has all sectors equal. Each residual is one tuple built from at most two
-    slices of the one before.
+    has all sectors equal. Each residual is one `_splice` of the one before.
     """
     cur = ints
     while cur.count(cur[0]) < len(cur):
         start, k, _ = pick(cur)
-        n = len(cur)
-        # the residual starts at the run's left neighbour, then goes on from
-        # ``cut``, the first sector it keeps after the run, round to ``rot``
-        rot = (start - 1) % n
-        cut = rot + k + 2
-        head = cur[rot]
+        head = cur[start - 1]
         if k % 2 == 0:  # an odd number of sectors: merge the two neighbours
-            head += cur[cut - n] - cur[start]
-            cut += 1
-        if cut <= n:
-            cur = (head,) + cur[cut:] + cur[:rot]
-        else:  # the run, or the neighbour merged into ``head``, wraps past the end
-            cur = (head,) + cur[cut - n : rot]
+            head += cur[(start + k + 1) % len(cur)] - cur[start]
+        cur = _splice(cur, start, k, head)
         yield start, k, cur
 
 
@@ -260,7 +263,7 @@ def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
     reduces the star's scaled integer sectors, and each step keeps its
     residual as integers over the star's denominator.
     """
-    ints, den = v.scaled
+    ints, den = v.ints, v.den
     if not _closes(ints):
         raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
     limits = bounds(v)
@@ -317,7 +320,7 @@ def enumerate_words(v: AngleSequence) -> list[str]:
     `ENUMERATE_LIMIT` it raises `CapacityError`. A star whose lower bound
     (see `bounds`) is already above the limit is refused before the replay.
     """
-    ints = v.scaled[0]
+    ints = v.ints
     if not _closes(ints):
         raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
     least = bounds(v)[0]

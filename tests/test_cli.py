@@ -49,6 +49,23 @@ class TestParseAngles:
         with pytest.raises(ParseError, match="exponent notation.*position 2"):
             parse_angles("90 %s 90" % token)
 
+    @pytest.mark.parametrize("token, message", [
+        ("5/0", "malformed"), ("0/0", "malformed"), ("0/5", "non-positive"),
+        ("0.00", "non-positive"), ("000", "non-positive"),
+    ])
+    def test_zero_tokens(self, token, message):
+        # a zero denominator is refused before the pair is reduced:
+        # gcd(5, 0) is 5, which would make 5/0 the pair (1, 0)
+        with pytest.raises(ParseError, match="^%s angle %r at position 2$" % (message, token)):
+            parse_angles("90 %s 90" % token)
+
+    @pytest.mark.parametrize("text", ["2/4 180/2 0.50 90 179.50 90",
+                                      "1/2, 90, 1/2, 90, 359/2, 90"])
+    def test_reads_each_token_in_lowest_terms(self, text):
+        v = parse_angles(text)
+        assert v == AngleSequence(("1/2", 90, "1/2", 90, "359/2", 90))
+        assert (v.ints, v.den) == ((1, 180, 1, 180, 359, 180), 2)
+
     def test_overlong_token_rejected(self):
         with pytest.raises(ParseError, match="position 1 is longer than"):
             parse_angles("1" * 5000 + " 1")
@@ -77,8 +94,12 @@ class TestParseAngles:
             except ParseError as exc:
                 return str(exc)
 
+        def fraction_pair(tok):
+            value = Fraction(tok)
+            return value.numerator, value.denominator
+
         fast = outcome()
-        with mock.patch.object(cli, "_angle_value", Fraction):
+        with mock.patch.object(cli, "_angle_pair", fraction_pair):
             assert fast == outcome()
 
 
@@ -294,6 +315,11 @@ def test_sector_names_are_fraction_strings(n, den):
     assert list(map(names.__getitem__, (n, n))) == [str(Fraction(n, den))] * 2
 
 
+def test_text_lines_read_tuples_as_lists():
+    value = {"a": ("1", "2"), "b": [("3",), {"c": ()}, ()], "d": (), "e": [("4", ("5",))]}
+    assert cli._text_lines(value) == cli._text_lines(json.loads(json.dumps(value)))
+
+
 class TestJsonRenderer:
     """`_json` is ``json.dumps(indent=2, sort_keys=True)``, byte for byte."""
 
@@ -314,6 +340,10 @@ class TestJsonRenderer:
     @example([MVLabel.MOUNTAIN, "M", "V"])
     @example(["M", MVLabel.VALLEY])
     @example(("1/3", "45/2", "90"))
+    # the strings of an empty list join to "", which is not one empty string
+    @example([])
+    @example(())
+    @example({"residual": (), "angles": ("90",), "trace": [()]})
     @example([("x", "y"), ["z"], ("w", 1)])
     def test_matches_the_indenting_encoder(self, value):
         assert _json(value) == json.dumps(value, indent=2, sort_keys=True)

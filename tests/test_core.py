@@ -100,6 +100,53 @@ def test_angle_sequence_keeps_exact_fractions(fracs):
     assert seq.total == sum(fracs)
 
 
+@given(st.lists(st.fractions(min_value=Fraction(1, 50), max_value=1000), min_size=1),
+       st.integers(1, 12))
+def test_integer_sectors_are_the_fraction_star(fracs, k):
+    v = AngleSequence(tuple(fracs))
+    assert v.ints == tuple(f * v.den for f in fracs)
+    # the same star over any denominator, in lowest terms or not
+    for w in (AngleSequence(v.ints, v.den), AngleSequence([n * k for n in v.ints], v.den * k)):
+        assert w == v and hash(w) == hash(v)
+        assert (w.ints, w.den) == (v.ints, v.den)
+        assert w.angles == tuple(fracs)
+
+
+def test_integer_sectors_are_reduced():
+    v = AngleSequence((2, 4, 6), 4)
+    assert (v.ints, v.den) == ((1, 2, 3), 2)
+    assert v == AngleSequence(("1/2", 1, "3/2"))
+    assert v.as_strings() == ["1/2", "1", "3/2"]
+
+
+@pytest.mark.parametrize("ints, den, error, message", [
+    ((), 1, ValueError, "^an angle sequence needs at least one sector$"),
+    ((90, 0, 90), 1, ValueError, "^sector angles must be positive, got 0$"),
+    ((90, -3, -1), 2, ValueError, "^sector angles must be positive, got -3/2$"),
+    ((90, -4), 2, ValueError, "^sector angles must be positive, got -2$"),
+    ((True, 1), 1, TypeError, "integer sectors"),
+    ((1, 1), True, TypeError, "integer sectors"),
+    ((1, 1), 0, TypeError, "integer sectors"),
+    ((1, 1), -2, TypeError, "integer sectors"),
+    ((1, float("nan")), 1, TypeError, "integer sectors"),
+    ((1, float("inf")), 1, TypeError, "integer sectors"),
+    ((1, 2.0), 1, TypeError, "integer sectors"),
+    ((1, Fraction(1)), 1, TypeError, "integer sectors"),
+])
+def test_integer_sectors_meet_the_sector_check(ints, den, error, message):
+    with pytest.raises(error, match=message):
+        AngleSequence(ints, den)
+
+
+def test_value_sectors_meet_the_same_check():
+    with pytest.raises(ValueError, match="^an angle sequence needs at least one sector$"):
+        AngleSequence(())
+    with pytest.raises(ValueError, match="^sector angles must be positive, got -3/2$"):
+        AngleSequence((90, "-1.5", -1))
+    with pytest.raises(ValueError, match="^sector angles must be positive, got 0$"):
+        AngleSequence((90, 0.0))
+
+
 class TestAngleSequence:
     def test_coerces_and_totals(self):
         seq = AngleSequence((90, "90", Fraction(90), 90.0))

@@ -12,6 +12,7 @@ written here, and in length against `count_mv`.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -20,7 +21,7 @@ import pytest
 
 from flatfold.core import AngleSequence, MVAssignment, MVLabel
 from flatfold.errors import CapacityError, NotFlatFoldableError
-from flatfold import vertex
+from flatfold import cli, vertex
 from flatfold.oracle import enumerate_valid
 from flatfold.vertex import count_mv, crimp_validity, enumerate_mv, enumerate_words
 
@@ -183,16 +184,51 @@ def test_crimp_matches_reference_on_every_assignment(corpus_small):
 def test_count_builds_no_angle_sequence(monkeypatch):
     v = generic_star(random.Random(5), 200, 360)
     built = []
-    post_init = AngleSequence.__post_init__
+    init = AngleSequence.__init__
 
-    def counting_post_init(self):
-        built.append(len(self.angles))
-        post_init(self)
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
 
-    monkeypatch.setattr(AngleSequence, "__post_init__", counting_post_init)
+    monkeypatch.setattr(AngleSequence, "__init__", counting_init)
     result = count_mv(v)
     assert len(result.trace) == 99
     assert built == []
+
+
+def test_count_never_builds_the_fraction_sectors(monkeypatch, capsys):
+    # a star read from the command line stays on its integers: the digit
+    # budget, the input block, the count and crimping never read `angles`
+    def unbuilt(self):
+        raise AssertionError("the Fraction sectors were built")
+
+    monkeypatch.setattr(AngleSequence, "angles", property(unbuilt))
+    for command in ("count", "analyze"):
+        for fmt in ("json", "text"):
+            assert cli.main([command, "1/3 45/2 179/3 45/2 120 135", "--format", fmt]) == 0
+    capsys.readouterr()
+    v = cli.parse_angles("100 80 80 100 0.5 0.5")
+    assert (len(v), v.total, v.kind, vertex.kawasaki(v)) == (6, 361, "cone", True)
+    assert count_mv(v).trace[-1].residual == AngleSequence((200, 200), 2)
+    assert [crimp_validity(v, mv) for mv in ("MMMVMV", "MMMMMM")] == [True, False]
+    with pytest.raises(AssertionError, match="Fraction sectors"):
+        v.angles
+
+
+def test_report_names_every_residual_as_the_kernel_reduces_it(capsys):
+    """The count report splices each residual's names from the names before
+    it (`vertex._splice`) and names only the new head sector. On the seeded
+    stars, whose runs wrap in every way (see
+    `test_seeded_stars_reduce_runs_that_wrap`), every reported residual is the
+    kernel's, each sector formatted by `Fraction`."""
+    for v in seeded_stars((4, 10, 24, 60, 150, 400), 1) + seeded_stars((6, 30), 2):
+        assert cli.main(["count", " ".join(v.as_strings()), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["input"]["angles"] == [str(a) for a in v]
+        trace = count_mv(v).trace
+        assert len(report["count"]["trace"]) == len(trace)
+        for reported, step in zip(report["count"]["trace"], trace):
+            assert reported["residual"] == [str(Fraction(n, step.den)) for n in step.scaled_residual]
 
 
 def equal_star(m, total):
@@ -324,7 +360,7 @@ def test_default_pick_is_the_first_run_of_the_smallest_sector(corpus200):
 
     stars = list(corpus200) + seeded_stars(range(4, 41, 2), 16)
     for v in stars:
-        ints = list(v.scaled[0])
+        ints = list(v.ints)
         if len(set(ints)) > 1:
             compared_pick(ints)
         if vertex.kawasaki(v):
