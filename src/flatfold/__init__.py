@@ -29,7 +29,6 @@ from .oracle import (
 )
 from .pattern import (
     AffineMap,
-    ClosedCurve,
     TraceResult,
     curve_around_vertex,
     generalized_maekawa,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleSequence",
     "AffineMap",
-    "ClosedCurve",
     "CountResult",
     "CreasePattern",
     "LayerModel",

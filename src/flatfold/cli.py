@@ -367,7 +367,7 @@ def _scalar(value: Any) -> str:
 
 _NO_FOLDINGS = "no flat foldings: the closure condition fails"
 
-Result = tuple[Optional[dict], Optional[str]]
+Result = tuple[dict, Optional[str]]
 
 
 class _SectorNames(dict):
@@ -532,7 +532,7 @@ def cmd_pattern_check(args) -> Result:
         },
         "reflection_traces": {
             str(vid): {
-                "creases_crossed": list(chk.curve.crease_ids),
+                "creases_crossed": list(chk.curve),
                 "is_identity": chk.trace.is_identity,
                 "reason": chk.trace.failure_reason,
             }
@@ -567,11 +567,9 @@ def cmd_pattern_check(args) -> Result:
 
 
 def cmd_pattern_svg(args) -> Result:
-    """Writes a file, not a report: the only command that prints itself."""
     p = parse_pattern(args.file)
     emit_svg(p, args.output)
-    print("wrote %s" % args.output)
-    return None, None
+    return {"command": "pattern-svg", "wrote": args.output}, None
 
 
 # `selftest` compares the recursion with the oracle on 4 x per_size corpus
@@ -683,7 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_psvg = psub.add_parser("svg", help="render the pattern as SVG")
     p_psvg.add_argument("file")
     p_psvg.add_argument("-o", "--output", required=True)
-    p_psvg.set_defaults(func=cmd_pattern_svg)
+    p_psvg.set_defaults(func=cmd_pattern_svg, format="text",
+                        text=lambda report: ["wrote %s" % report["wrote"]])
 
     p_self = sub.add_parser("selftest", help="recursion-vs-oracle corpus check")
     p_self.add_argument("--seed", type=int, default=20250810)
@@ -701,10 +700,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report, violation = args.func(args)
-        if report is not None:
-            print(_json(report) if args.format == "json"
-                  else "\n".join(args.text(report)))
-            sys.stdout.flush()
+        print(_json(report) if args.format == "json" else "\n".join(args.text(report)))
+        sys.stdout.flush()
     except FlatFoldError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

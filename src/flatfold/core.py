@@ -698,8 +698,8 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
     45 degrees (or the vertex has a single crease): no other direction with
     rational coordinates has a rational degree measure, so any other vertex
     raises `ExactnessError`, naming its first such crease counterclockwise
-    from +x. `pattern.reflection_trace` decides closure at such a vertex
-    exactly instead.
+    from +x. Closure needs no star: `pattern.reflection_trace` decides it
+    exactly at every vertex.
     """
     directions = _interior(p, v, _directions(p, v))
     if len(directions) == 1:

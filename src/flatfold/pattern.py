@@ -8,10 +8,12 @@ NP-hard and deliberately out of scope.
 Every verdict is exact. A crease direction with rational coordinates has in
 general no rational degree measure, but the reflection across its line is a
 rational affine map, so reflection maps keep integer entries over one
-denominator and the identity test is an equality. Around a flat vertex the
+denominator and the identity test is an equality. A closed curve is the
+tuple of the crease ids it crosses, in order. Around a flat vertex the
 composition of the reflections across its creases is the identity exactly
-when the alternating sector sum is zero (Justin), which decides closure at
-vertices whose sector angles cannot be written down.
+when the alternating sector sum is zero (Justin), so the composition
+decides closure at every vertex, whether or not its sector angles can be
+written down.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     CreasePattern,
@@ -31,7 +33,6 @@ from .core import (
     _orient,
 )
 from .errors import ExactnessError, LocalMaekawaError, StructuralError
-from .vertex import kawasaki
 
 
 @dataclass(frozen=True)
@@ -127,58 +128,47 @@ def reflection(p: CreasePattern, crease: int) -> AffineMap:
 
 
 @dataclass(frozen=True)
-class ClosedCurve:
-    """A closed, vertex-avoiding curve recorded by the creases it crosses,
-    in order: the reflection composition depends on nothing else."""
-
-    crease_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class TraceResult:
     map: AffineMap
-    is_identity: bool
-    failure_reason: Optional[str] = None
+
+    @property
+    def is_identity(self) -> bool:
+        return self.map.is_identity()
+
+    @property
+    def failure_reason(self) -> Optional[str]:
+        if self.map.det < 0:  # k reflections have determinant (-1)^k
+            return "odd crossing count: the composition reverses orientation"
+        return None if self.is_identity else "composition is not the identity"
 
 
-def reflection_trace(p: CreasePattern, curve: ClosedCurve) -> TraceResult:
-    """Compose the reflections across the creases the curve crosses, in order.
+def reflection_trace(p: CreasePattern, crease_ids: Sequence[int]) -> TraceResult:
+    """Compose the reflections across the creases a closed curve crosses,
+    given as their ids in order.
 
     If the pattern folds flat the composition must be the identity, so a
     non-identity composition certifies non-foldability; the identity does
     not certify anything. An odd crossing count makes the composition
-    orientation-reversing and fails automatically.
+    orientation-reversing, never the identity.
     """
-    if not curve.crease_ids:
+    if not crease_ids:
         raise ValueError("the curve crosses no creases")
     # The product identity . R1 . R2 ... in the scaled plane, one factor s
     # instead of one per crease, on plain ints: what folding
     # `AffineMap.compose` over `_scaled_reflection` gives, then `_unscaled`.
     ma, mb, mc, md, mtx, mty, den = 1, 0, 0, 1, 0, 0, 1
-    for cid in curve.crease_ids:
+    for cid in crease_ids:
         a, b, tx, ty, n = _reflection_entries(*_crease_line(p, cid))
         ma, mb, mc, md, mtx, mty, den = (
             ma * a + mb * b, ma * b - mb * a, mc * a + md * b, mc * b - md * a,
             ma * tx + mb * ty + n * mtx, mc * tx + md * ty + n * mty, den * n,
         )
     s = p._geometry[2]
-    composed = AffineMap(s * ma, s * mb, s * mc, s * md, mtx, mty, s * den)
-    if len(curve.crease_ids) % 2 != 0:
-        return TraceResult(
-            map=composed,
-            is_identity=False,
-            failure_reason="odd crossing count: the composition reverses orientation",
-        )
-    identity = composed.is_identity()
-    return TraceResult(
-        map=composed,
-        is_identity=identity,
-        failure_reason=None if identity else "composition is not the identity",
-    )
+    return TraceResult(AffineMap(s * ma, s * mb, s * mc, s * md, mtx, mty, s * den))
 
 
-def curve_around_vertex(p: CreasePattern, v: int) -> ClosedCurve:
-    """A small circle around an interior vertex, listing its creases in
+def curve_around_vertex(p: CreasePattern, v: int) -> tuple[int, ...]:
+    """A small circle around an interior vertex: the ids of its creases in
     counterclockwise order.
 
     Validation has proved, exactly, that no other vertex, crease or border
@@ -186,29 +176,32 @@ def curve_around_vertex(p: CreasePattern, v: int) -> ClosedCurve:
     a small enough circle crosses exactly ``v``'s creases, once each, in the
     order `incident_creases_ccw` sorts them.
     """
-    return ClosedCurve(tuple(_interior(p, v, incident_creases_ccw(p, v))))
+    return tuple(_interior(p, v, incident_creases_ccw(p, v)))
 
 
 @dataclass(frozen=True)
 class VertexCheck:
-    """A closure verdict and the reflection trace around the vertex.
-    ``angles`` is None when the vertex has a crease at no multiple of 45
-    degrees: its sectors have no exact degree measure, and the trace gave
-    the verdict instead."""
+    """The reflection trace around a vertex, which gives its closure
+    verdict. ``angles`` names its sectors, and is None when the vertex has a
+    crease at no multiple of 45 degrees: those sectors have no exact degree
+    measure."""
 
-    passes: bool
     angles: Optional[tuple[str, ...]]
-    curve: ClosedCurve
+    curve: tuple[int, ...]
     trace: TraceResult
+
+    @property
+    def passes(self) -> bool:
+        return self.trace.is_identity
 
 
 def local_kawasaki_all(p: CreasePattern) -> dict[int, VertexCheck]:
     """Exact per-interior-vertex closure report.
 
-    Each vertex is traced once. A vertex whose creases all run at multiples
-    of 45 degrees is judged on its star; any other by whether its reflection
-    trace is the identity, which is the same condition. Necessary only:
-    every vertex passing does not make the pattern foldable.
+    Each vertex is traced once, along the tuple of its crease ids, and
+    passes when the trace is the identity: on flat paper that is Kawasaki's
+    condition. Necessary only: every vertex passing does not make the
+    pattern foldable.
     """
     _require_normalized(p)
     report: dict[int, VertexCheck] = {}
@@ -216,11 +209,10 @@ def local_kawasaki_all(p: CreasePattern) -> dict[int, VertexCheck]:
         curve = curve_around_vertex(p, v)
         trace = reflection_trace(p, curve)
         try:
-            star = vertex_star(p, v)
+            angles = tuple(vertex_star(p, v).as_strings())
         except ExactnessError:
-            report[v] = VertexCheck(trace.is_identity, None, curve, trace)
-        else:
-            report[v] = VertexCheck(kawasaki(star), tuple(star.as_strings()), curve, trace)
+            angles = None
+        report[v] = VertexCheck(angles, curve, trace)
     return report
 
 

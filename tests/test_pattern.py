@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import json
@@ -21,7 +22,6 @@ from flatfold.corpus import random_flat_sequence
 from flatfold.errors import ExactnessError, LocalMaekawaError, StructuralError
 from flatfold.pattern import (
     AffineMap,
-    ClosedCurve,
     curve_around_vertex,
     generalized_maekawa,
     local_kawasaki_all,
@@ -94,7 +94,7 @@ class TestReflection:
 class TestReflectionTrace:
     def test_crossing_one_crease_twice_is_identity(self):
         p = cross_pattern()
-        result = reflection_trace(p, ClosedCurve((0, 0)))
+        result = reflection_trace(p, (0, 0))
         assert result.is_identity
 
     def test_around_square_vertex_is_identity(self):
@@ -114,34 +114,34 @@ class TestReflectionTrace:
 
     def test_odd_crossing_count_fails_distinctly(self):
         p = cross_pattern()
-        result = reflection_trace(p, ClosedCurve((0, 1, 2)))
+        result = reflection_trace(p, (0, 1, 2))
         assert not result.is_identity
         assert "odd" in result.failure_reason
 
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
-            reflection_trace(cross_pattern(), ClosedCurve(()))
+            reflection_trace(cross_pattern(), ())
 
     def test_cyclic_start_does_not_change_the_verdict(self):
         p = cross_pattern()
-        ids = curve_around_vertex(p, 4).crease_ids
+        ids = curve_around_vertex(p, 4)
         for shift in range(len(ids)):
             rotated = ids[shift:] + ids[:shift]
-            assert reflection_trace(p, ClosedCurve(rotated)).is_identity
+            assert reflection_trace(p, rotated).is_identity
 
     def test_curve_around_both_vertices_of_a_chain(self):
         p = two_vertex_pattern("M", "MMV", "MMV")
         # walk counterclockwise around both interior vertices, crossing
         # every crease except the shared one
-        curve = ClosedCurve((3, 2, 5, 6, 4, 1))
+        curve = (3, 2, 5, 6, 4, 1)
         assert reflection_trace(p, curve).is_identity
 
 
 class TestCurveAroundVertex:
     def test_lists_creases_in_cyclic_order(self):
-        assert curve_around_vertex(cross_pattern(), 4).crease_ids == (0, 1, 2, 3)
+        assert curve_around_vertex(cross_pattern(), 4) == (0, 1, 2, 3)
         p = two_vertex_pattern("M", "MMV", "MMV")
-        assert curve_around_vertex(p, 4).crease_ids == (0, 1, 3, 2)
+        assert curve_around_vertex(p, 4) == (0, 1, 3, 2)
 
     def test_split_vertex_curve(self):
         p = normalize_pattern(
@@ -150,12 +150,11 @@ class TestCurveAroundVertex:
             )
         )
         (split,) = p.split_vertices
-        assert len(curve_around_vertex(p, split).crease_ids) == 2
+        assert len(curve_around_vertex(p, split)) == 2
 
     def test_only_the_target_vertex_creases(self):
         p = two_vertex_pattern("M", "MMV", "MMV")
-        curve = curve_around_vertex(p, 4)
-        assert sorted(curve.crease_ids) == [0, 1, 2, 3]
+        assert sorted(curve_around_vertex(p, 4)) == [0, 1, 2, 3]
 
     def test_boundary_vertex_rejected(self):
         # the curve and the star refuse a border vertex with one check
@@ -396,7 +395,8 @@ def test_rotation_keeps_every_verdict():
         assert before.keys() == after.keys()
         for v, chk in before.items():
             trace = reflection_trace(p, curve_around_vertex(p, v)).is_identity
-            assert trace == chk.passes and chk.angles is not None
+            # on the 45-degree lattice the star's own closure test agrees
+            assert trace == kawasaki(vertex_star(p, v)) and chk.angles is not None
             assert after[v].passes == chk.passes
             assert reflection_trace(q, curve_around_vertex(q, v)).is_identity == trace
             # the rotated star has no exact angles, so the trace decided it
@@ -590,15 +590,20 @@ def test_trace_composes_as_the_folded_maps():
         p = grid_pattern(rng, rng.randint(2, 5)) if i % 2 else chain_pattern(rng, rng.randint(1, 4))
         for q in (p, rotated(p)):
             curves = [curve_around_vertex(q, v) for v in q.interior_vertex_ids()]
-            curves += [ClosedCurve(tuple(rng.randrange(len(q.creases)) for _ in range(k)))
+            curves += [tuple(rng.randrange(len(q.creases)) for _ in range(k))
                        for k in range(1, 8)]
             for curve in curves:
                 want = AffineMap.identity()
-                for ci in curve.crease_ids:
+                for ci in curve:
                     want = want.compose(_scaled_reflection(q, ci))
                 want = _unscaled(q, want)
-                got = reflection_trace(q, curve).map
-                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+                result = reflection_trace(q, curve)
+                assert dataclasses.astuple(result.map) == dataclasses.astuple(want)
+                # the map alone gives the reason: its determinant for the
+                # crossing parity, its entries for the identity
+                odd = "odd crossing count: the composition reverses orientation"
+                assert (result.failure_reason == odd) == (len(curve) % 2 == 1)
+                assert (result.failure_reason is None) == result.is_identity
 
 
 class TestNonSufficiency:
@@ -616,3 +621,20 @@ class TestNonSufficiency:
         import flatfold.pattern as patmod
 
         assert not any("foldable" in name.lower() for name in dir(patmod))
+
+
+def test_pattern_imports_nothing_from_the_vertex_module():
+    """Every closure verdict comes from the reflection map: `pattern` stands
+    on `core` alone, with no second closure rule from `vertex`."""
+    import flatfold.pattern as patmod
+
+    tree = ast.parse(open(patmod.__file__, encoding="utf-8").read())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            modules += [base] if node.module else [base + alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert ".core" in modules  # `vertex_star` comes from core, not vertex
+    assert [m for m in modules if m.rsplit(".", 1)[-1] == "vertex"] == []
