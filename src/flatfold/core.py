@@ -660,6 +660,12 @@ def incident_creases_ccw(p: CreasePattern, v: int) -> list[int]:
     return [ci for ci, _ in sorted(_directions(p, v), key=lambda cd: _ccw_key(cd[1]))]
 
 
+def _ccw_directions(p: CreasePattern, v: int) -> list[tuple[int, tuple[int, int]]]:
+    """Each crease at the interior vertex v with its direction, sorted
+    counterclockwise from +x: one read serves a vertex's curve and its star."""
+    return sorted(_interior(p, v, _directions(p, v)), key=lambda cd: _ccw_key(cd[1]))
+
+
 def _interior(p: CreasePattern, v: int, creases: list) -> list:
     """``creases``, the creases at v in any form, once v is interior and has some."""
     if p.vertices[v].on_boundary:
@@ -701,17 +707,20 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
     from +x. Closure needs no star: `pattern.reflection_trace` decides it
     exactly at every vertex.
     """
-    directions = _interior(p, v, _directions(p, v))
+    return _star(v, _ccw_directions(p, v))
+
+
+def _star(v: int, directions: list[tuple[int, tuple[int, int]]]) -> AngleSequence:
+    """`vertex_star` of v from its creases as `_ccw_directions` lists them."""
     if len(directions) == 1:
         return AngleSequence((360,), 1)
+    # counterclockwise from +x is the order of the degree measures
     thetas = [_direction_degrees_exact(d) for _, d in directions]
     if None in thetas:
-        ci = min((cd for cd, t in zip(directions, thetas) if t is None),
-                 key=lambda cd: _ccw_key(cd[1]))[0]
         raise ExactnessError(
-            "crease %d at vertex %d is not at a multiple of 45 degrees" % (ci, v)
+            "crease %d at vertex %d is not at a multiple of 45 degrees"
+            % (directions[thetas.index(None)][0], v)
         )
-    thetas.sort()  # counterclockwise from +x
     sectors = [b - a for a, b in zip(thetas, thetas[1:])]
     sectors.append(360 - thetas[-1] + thetas[0])
     return AngleSequence(sectors, 1)

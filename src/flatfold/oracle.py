@@ -25,16 +25,20 @@ one walk (`_walk`) builds it: a closed walk for a whole vertex
 flaps (`_restricted_net`). Only (a) reads a label. Which fold pairs fall
 under (b) and which sheets straddle a fold for (c) follow from the folded
 geometry alone, so each model turns them into label-free tables once
-(`_constraint_tables`), and every labeling's search reads them; (a) becomes
+(`_constraint_tables`), and the search reads them. Given labels, (a) becomes
 the window of slots where each inserted sheet may go, read when the sheet is
 inserted. One driver, `_stacking`, reads the labels through `MVAssignment`,
 runs that search and re-checks every witness it finds with `stacking_valid`,
 for a whole vertex and a restricted run alike.
 
-`enumerate_valid`, the one enumeration routine, folds the vertex once, then
-searches stackings per assignment, up to `DEFAULT_LIMIT` sectors; only
-`oracle_is_valid` takes a higher limit. Layer constraints alone decide: the
-oracle is the ground truth that crimping and the recursion are checked by.
+`enumerate_valid`, the one enumeration routine, folds the vertex once and
+runs the same search once without labels, up to `DEFAULT_LIMIT` sectors;
+only `oracle_is_valid` takes a higher limit. Each slot a sheet takes then
+fixes the labels of the folds it closes, so every labeling is read off the
+stackings found, and each one's first stacking is re-checked. Layer
+constraints alone decide: Maekawa's rule only ends branches whose labelings
+have all been found, and the oracle is the ground truth that crimping and
+the recursion are checked by.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .errors import CapacityError, NotFlatFoldableError, UnsupportedError
 from .vertex import RunCondition
 
 DEFAULT_LIMIT = 10
+_FLIP = str.maketrans("MV", "VM")
 
 _Sheet = tuple[int, int, int]
 _Fold = tuple[int, int, int, int]
@@ -148,22 +153,21 @@ def stacking_valid(model: LayerModel, mv: Labels, stacking: Sequence[int]) -> bo
     level = [0] * len(sheets)
     for lvl, s in enumerate(stacking):
         level[s] = lvl
+    spans: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for fold, label in zip(folds, mv):
-        left, right = fold[0], fold[1]
+        left, right, pos, side = fold
         if _fold_wants_right_above(sheets, fold, label) != (level[right] > level[left]):
             return False
-    for f1, f2 in itertools.combinations(folds, 2):
-        if f1[3] == f2[3] and f1[2] == f2[2]:
-            a1, a2 = sorted((level[f1[0]], level[f1[1]]))
-            b1, b2 = sorted((level[f2[0]], level[f2[1]]))
-            if _interleaved(a1, a2, b1, b2):
-                return False
-    for left, right, pos, _side in folds:
         lo, hi = sorted((level[left], level[right]))
-        for s, (slo, shi, _o) in enumerate(sheets):
-            if s in (left, right):
-                continue
-            if lo < level[s] < hi and slo < pos < shi:
+        # (c): only the sheets stacked between the fold's two sheets can be in its way
+        for s in stacking[lo + 1 : hi]:
+            if sheets[s][0] < pos < sheets[s][1]:
+                return False
+        spans.setdefault((pos, side), []).append((lo, hi))
+    # (b): only folds at one position that open the same way can interleave
+    for group in spans.values():
+        for (a1, a2), (b1, b2) in itertools.combinations(group, 2):
+            if _interleaved(a1, a2, b1, b2):
                 return False
     return True
 
@@ -208,23 +212,114 @@ def _constraint_tables(sheets: Sequence[_Sheet], folds: Sequence[_Fold]) -> _Tab
     return _Tables(*(tuple(map(tuple, t)) for t in (closing, pairs, straddles)))
 
 
-def _search(model: LayerModel, labels: Sequence[MVLabel]) -> Optional[list[int]]:
+@functools.cache
+def _maekawa_completions(n: int) -> tuple[tuple[int, ...], ...]:
+    """``[left][v]``: the labelings of the last ``left`` of n folds that bring
+    v valleys so far to n/2 - 1 or n/2 + 1, as Maekawa's rule asks."""
+    return tuple(
+        tuple(sum(math.comb(left, k - v) for k in (n // 2 - 1, n // 2 + 1) if k >= v)
+              for v in range(n + 1))
+        for left in range(n + 1)
+    )
+
+
+def _earliest_start(tables: _Tables) -> int:
+    """The sheet to insert first so that the (b) and (c) entries complete
+    early: the r that minimizes the sum, over entries, of the step that
+    inserts the last of their sheets when sheet r goes first."""
+    n = len(tables.pairs)
+    cost = [0] * n
+    for table in (tables.pairs, tables.straddles):
+        for step in table:
+            for entry in step:
+                # numbered from any r past one of the entry's sheets, prev,
+                # up to its next one, x, the entry completes when prev goes
+                # in, at step n + prev - r (a negative r indexes as r + n)
+                prev = max(entry) - n
+                for x in sorted(entry):
+                    for r in range(prev + 1, x + 1):
+                        cost[r] += n + prev - r
+                    prev = x
+    return cost.index(min(cost))
+
+
+def _shifted(tables: _Tables, r: int) -> _Tables:
+    """The same tables with every sheet and fold x numbered (x - r) mod n,
+    so that sheet r is inserted first."""
+    n = len(tables.pairs)
+    closing: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+    for j, step in enumerate(tables.closing):
+        for fi, other, above in step:
+            a, b = (j - r) % n, (other - r) % n
+            # the later of the two sheets may change, and with it the side
+            closing[max(a, b)].append(((fi - r) % n, min(a, b), above == (a > b)))
+    moved: list[list[list[tuple[int, ...]]]] = [[[] for _ in range(n)] for _ in range(2)]
+    for table, out in zip((tables.pairs, tables.straddles), moved):
+        for step in table:
+            for e in step:
+                e = tuple((x - r) % n for x in e)
+                out[max(e)].append(e)
+    return _Tables(*(tuple(map(tuple, t)) for t in (closing, *moved)))
+
+
+def _search(
+    model: LayerModel, labels: Optional[Sequence[MVLabel]] = None
+) -> dict[tuple[MVLabel, ...], list[int]]:
     """Insert sheets one by one into a growing stack, pruning as constraints
     complete. Violations are monotone in insertions (later sheets never
     reorder earlier ones), so pruning is sound and the search exhaustive.
+    Returns each labeling found, one label per fold, with the first
+    stacking found for it.
 
-    Constraint (a), the only one that reads a label, narrows the slots where
-    sheet j may go to a window above or below each closing fold's other
-    sheet; the node that places sheet j reads those folds' labels, so a
-    labeling refuted early reads only the labels of the steps it reached. At
-    a slot, only the (b) and (c) entries of step j are checked, on integer
-    levels that are kept up to date as sheet j moves up through its window.
+    Constraint (a), the only one that reads a label, ties the slot of sheet
+    j to the labels of the folds that j closes: j lies above a closing
+    fold's other sheet exactly when (the fold is a valley) == ``above``.
+    Given ``labels``, that narrows the slots of sheet j to a window, read at
+    the node that places j, so a labeling refuted early reads only the
+    labels of the steps it reached, and the search stops at its first
+    stacking.
+
+    Without labels (a whole vertex), every slot is tried, and the window it
+    falls in fixes the labels of the folds j closes, so one search finds
+    every labeling that has a stacking. Only stackings with the second sheet
+    inserted above the first are searched, since turning the paper over
+    reverses the stack and flips every label, and a window is skipped once
+    every labeling under its label prefix that passes Maekawa's rule,
+    M - V = +-2, has been found. The sheets are numbered from the one
+    `_earliest_start` picks, so that (b) and (c) prune early, and numbered
+    back in what is returned.
+
+    At a slot, only the (b) and (c) entries of step j are checked, on
+    integer levels that are kept up to date as sheet j moves up through its
+    window.
     """
     tables = model._tables
+    n = len(tables.pairs)
+    enumerating = labels is None
+    if enumerating:
+        first = _earliest_start(tables)
+        if first:
+            tables = _shifted(tables, first)
     closing, pairs, straddles = tables.closing, tables.pairs, tables.straddles
-    n = len(pairs)
     order = [0]
     level = [0] * n
+    found: dict[tuple[MVLabel, ...], list[int]] = {}
+    if enumerating:
+        # a word holds a label prefix: bit n - 1 - f is set when fold f is
+        # a valley. closed[j] has the bits of the folds closed by step j, and
+        # ways[j][v] counts the labelings past step j with v valleys so far
+        # that pass Maekawa's rule; seen counts the labelings found under
+        # each (step, prefix), keyed j << n | prefix
+        bit = [1 << (n - 1 - fi) for fi in range(n)]
+        closed = list(itertools.accumulate(
+            sum(bit[fi] for fi, _o, _a in step) for step in closing))
+        ways = [_maekawa_completions(n)[n - mask.bit_count()] for mask in closed]
+        base = [sum(bit[fi] for fi, _o, above in step if not above) for step in closing]
+        flips: list[dict[int, int]] = [{} for _ in closing]
+        for flip, step in zip(flips, closing):
+            for fi, other, _a in step:
+                flip[other] = flip.get(other, 0) | bit[fi]
+        seen: dict[int, int] = {}
 
     # levels are distinct, so sheet x lies between sheets p and q exactly
     # when one of the two is below x and the other above it
@@ -240,17 +335,12 @@ def _search(model: LayerModel, labels: Sequence[MVLabel]) -> Optional[list[int]]
                 return False
         return True
 
-    def rec(j: int) -> Optional[list[int]]:
-        if j == n:
-            return list(order)
-        lo, hi = 0, j
-        for fi, other, above in closing[j]:
-            if (labels[fi] is MVLabel.VALLEY) == above:
-                lo = max(lo, level[other] + 1)
-            else:
-                hi = min(hi, level[other])
-        if lo > hi:
-            return None
+    def sweep(j: int, lo: int, hi: int, w: int, key: int = 0, target: int = 0) -> bool:
+        """Move sheet j up from slot lo to slot hi, where the labels of the
+        folds that j closes give the label prefix w, and search on from
+        every slot that passes (b) and (c). Enumerating, stop once every
+        labeling under the prefix (``key``) that can pass, ``target`` of
+        them, has been found."""
         order.insert(lo, j)
         level[j] = lo
         for s in order[lo + 1 :]:
@@ -258,9 +348,10 @@ def _search(model: LayerModel, labels: Sequence[MVLabel]) -> Optional[list[int]]
         t = lo
         while True:
             if step_ok(j):
-                found = rec(j + 1)
-                if found is not None:
-                    return found
+                if rec(j + 1, w):
+                    return True
+                if enumerating and seen.get(key, 0) == target:
+                    break
             if t == hi:
                 break
             # move sheet j up one slot, past the sheet just above it
@@ -272,9 +363,45 @@ def _search(model: LayerModel, labels: Sequence[MVLabel]) -> Optional[list[int]]
         del order[t]
         for s in order[t:]:
             level[s] -= 1
-        return None
+        return False
 
-    return rec(1)
+    def rec(j: int, word: int) -> bool:
+        if j == n:
+            if not enumerating:
+                found[tuple(labels)] = list(order)
+                return True
+            labeling = tuple(MVLabel.VALLEY if word & bit[(f - first) % n] else MVLabel.MOUNTAIN
+                             for f in range(n))
+            found[labeling] = [(s + first) % n for s in order]
+            for step, mask in enumerate(closed):
+                key = step << n | word & mask
+                seen[key] = seen.get(key, 0) + 1
+            return False
+        if not enumerating:
+            lo, hi = 0, j
+            for fi, other, above in closing[j]:
+                if (labels[fi] is MVLabel.VALLEY) == above:
+                    lo = max(lo, level[other] + 1)
+                else:
+                    hi = min(hi, level[other])
+            return lo <= hi and sweep(j, lo, hi, word)
+        # below every other sheet, j gives the valleys in base[j]; moving j
+        # up past a fold's other sheet flips that fold's label
+        w, lo, cuts, windows = word | base[j], int(j == 1), flips[j], []
+        for other in sorted(cuts, key=level.__getitem__) if len(cuts) > 1 else cuts:
+            cut = level[other] + 1
+            windows.append((lo, cut - 1, w))
+            lo, w = max(lo, cut), w ^ cuts[other]
+        windows.append((lo, j, w))
+        for lo, hi, w in windows:
+            if lo <= hi:
+                key, target = j << n | w, ways[j][w.bit_count()]
+                if seen.get(key, 0) < target:
+                    sweep(j, lo, hi, w, key, target)
+        return False
+
+    rec(1, 0)
+    return found
 
 
 def _stacking(model: LayerModel, labels: Labels) -> Optional[tuple[int, ...]]:
@@ -286,10 +413,11 @@ def _stacking(model: LayerModel, labels: Labels) -> Optional[tuple[int, ...]]:
     if len(mv) != len(model.folds):
         raise ValueError("assignment length must match the number of creases")
     found = _search(model, mv.labels)
-    if found is None:
+    if not found:
         return None
-    assert stacking_valid(model, mv, found)
-    return tuple(found)
+    (stacking,) = found.values()
+    assert stacking_valid(model, mv, stacking)
+    return tuple(stacking)
 
 
 def find_stacking(v: AngleSequence, mv: Labels) -> Optional[tuple[int, ...]]:
@@ -304,34 +432,27 @@ def oracle_is_valid(v: AngleSequence, mv: Labels, *, limit: int = DEFAULT_LIMIT)
     return model is not None and _stacking(model, mv) is not None
 
 
-def _maekawa_labelings(m: int) -> list[MVAssignment]:
-    """The labelings of m creases that start with a mountain and pass
-    Maekawa's rule, M - V = +-2, in lexicographic M-before-V order."""
-    words = []
-    for mountains in (m // 2 - 1, m // 2 + 1):
-        for rest in itertools.combinations(range(1, m), mountains - 1) if mountains else ():
-            labels = ["M"] + ["V"] * (m - 1)
-            for i in rest:
-                labels[i] = "M"
-            words.append("".join(labels))
-    return [MVAssignment(word) for word in sorted(words)]
-
-
 def enumerate_valid(v: AngleSequence) -> list[MVAssignment]:
     """All valid assignments, in lexicographic M-before-V order.
 
-    Two facts of every flat fold cut the search. Turning the paper over
-    flips every label, so only assignments starting with a mountain are
-    searched and each accepted one brings its flip along. Maekawa's theorem,
-    |M - V| = 2, rules out every other assignment without a layer search,
-    so those are never built.
+    One layer search over the stackings of the folded vertex reads each
+    labeling off the stackings it finds (see `_search`). Two facts of every
+    flat fold cut it. Turning the paper over reverses the stack and flips
+    every label, so only stackings with the second sheet inserted above the
+    first are searched, and each labeling found brings its flip along. Maekawa's theorem,
+    |M - V| = 2, only ends branches: one stops once every labeling under
+    its label prefix that passes the rule has been found. Every labeling's
+    first stacking is re-checked against the constraints themselves.
     """
     model = _vertex_net(v, DEFAULT_LIMIT)
     if model is None:
         return []
-    accepted = [mv for mv in _maekawa_labelings(len(v)) if _stacking(model, mv) is not None]
-    # flipping every label reverses lexicographic order
-    return accepted + [mv.flipped() for mv in reversed(accepted)]
+    words = []
+    for labels, stacking in _search(model).items():
+        assert stacking_valid(model, labels, stacking)
+        word = "".join(labels)
+        words += (word, word.translate(_FLIP))
+    return [MVAssignment(word) for word in sorted(words)]
 
 
 def oracle_count(v: AngleSequence) -> int:

@@ -27,10 +27,10 @@ from .core import (
     CreasePattern,
     MVLabel,
     PatternTally,
-    incident_creases_ccw,
-    vertex_star,
-    _interior,
+    vertex_star,  # noqa: F401 -- callers read it from this module
+    _ccw_directions,
     _orient,
+    _star,
 )
 from .errors import ExactnessError, LocalMaekawaError, StructuralError
 
@@ -173,10 +173,10 @@ def curve_around_vertex(p: CreasePattern, v: int) -> tuple[int, ...]:
 
     Validation has proved, exactly, that no other vertex, crease or border
     edge touches ``v`` and that no two of its creases share a direction, so
-    a small enough circle crosses exactly ``v``'s creases, once each, in the
-    order `incident_creases_ccw` sorts them.
+    a small enough circle crosses exactly ``v``'s creases, once each, in
+    counterclockwise order.
     """
-    return tuple(_interior(p, v, incident_creases_ccw(p, v)))
+    return tuple(ci for ci, _d in _ccw_directions(p, v))
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,12 @@ def local_kawasaki_all(p: CreasePattern) -> dict[int, VertexCheck]:
     _require_normalized(p)
     report: dict[int, VertexCheck] = {}
     for v in p.interior_vertex_ids():
-        curve = curve_around_vertex(p, v)
+        # one sorted read of the directions gives the curve and the names
+        directions = _ccw_directions(p, v)
+        curve = tuple(ci for ci, _d in directions)
         trace = reflection_trace(p, curve)
         try:
-            angles = tuple(vertex_star(p, v).as_strings())
+            angles = tuple(_star(v, directions).as_strings())
         except ExactnessError:
             angles = None
         report[v] = VertexCheck(angles, curve, trace)

@@ -198,8 +198,8 @@ class TestEnumerate:
         ]
 
     def test_every_valid_assignment_obeys_parity(self, corpus_small):
-        for seq in corpus_small:
-            for mv in brute_force_valid(seq):
+        for seq in list(corpus_small) + [CONE_7_11_13]:
+            for mv in brute_force_valid(seq) + enumerate_valid(seq):
                 assert abs(mv.tally) == 2
 
     def test_folds_the_vertex_once(self, monkeypatch):
@@ -556,7 +556,7 @@ class TestReferenceSearch:
                     reference = reference_search(
                         sheets, [fold + (label,) for fold, label in zip(folds, labels)]
                     )
-                    witness = oracle_module._search(model, labels)
+                    witness = oracle_module._search(model, labels).get(labels)
                     assert witness == reference, (v.as_strings(), run, labels)
                     assert run_restricted_valid(v, run, labels) == (witness is not None)
                     searched += 1
@@ -575,6 +575,134 @@ class TestReferenceSearch:
             calls.clear()
             assert enumerate_valid(seq)
             assert calls == [len(seq)]
+
+
+def reference_earliest_start(tables):
+    """The first sheet `_search` inserts when it enumerates, straight from its
+    definition: the r that minimizes the sum, over (b) and (c) entries, of
+    the step that inserts the last of their sheets."""
+    n = len(tables.pairs)
+    entries = [e for step in tables.pairs + tables.straddles for e in step]
+    return min(range(n), key=lambda r: sum(max((x - r) % n for x in e) for e in entries))
+
+
+class TestFirstSheet:
+    """Enumerating, the search numbers the sheets from the one that lets the
+    (b) and (c) entries complete earliest. The list must not depend on that
+    choice, and it must be the list crimping gives."""
+
+    def test_every_first_sheet_lists_the_same_assignments(self, monkeypatch):
+        stars = [v for v in seeded_stars(19) if len(v) <= 8] + [
+            CONE_7_11_13, AngleSequence((30, 30, 90, 30, 30, 90, 30, 30)),
+            AngleSequence((24, 72, 24, 24, 48, 24, 48, 24, 24, 24))]
+        real = oracle_module._earliest_start
+        chosen = []
+        for v in stars:
+            want = enumerate_valid(v)
+            assert want == [mv for mv in all_assignments(len(v)) if crimp_validity(v, mv)]
+            chosen.append(real(fold_directions(v)._tables))
+            for r in range(len(v)):
+                monkeypatch.setattr(oracle_module, "_earliest_start", lambda tables, r=r: r)
+                assert enumerate_valid(v) == want, (v.as_strings(), r)
+            monkeypatch.setattr(oracle_module, "_earliest_start", real)
+        assert any(chosen)
+
+    def test_first_sheet_minimizes_the_completion_steps(self):
+        stars = seeded_stars(20) + seeded_stars(21) + [
+            CONE_7_11_13, AngleSequence((30,) * 4 + (60,) + (30,) * 4 + (60,))]
+        chosen = set()
+        for v in stars:
+            tables = fold_directions(v)._tables
+            chosen.add(oracle_module._earliest_start(tables))
+            assert oracle_module._earliest_start(tables) == reference_earliest_start(tables)
+        assert len(chosen) > 2
+
+
+# `stacking_valid` as it ran before it grouped its checks: (b) over every pair
+# of folds, (c) over every sheet for every fold. The grouped re-check must
+# give its verdict on every stacking and labeling.
+
+
+def reference_stacking_valid(model, mv, stacking):
+    sheets, folds = model.sheets, model.folds
+    level = [0] * len(sheets)
+    for lvl, s in enumerate(stacking):
+        level[s] = lvl
+    for fold, label in zip(folds, mv):
+        left, right = fold[0], fold[1]
+        if _reference_wants_right_above(sheets, fold + (label,)) != (level[right] > level[left]):
+            return False
+    for f1, f2 in itertools.combinations(folds, 2):
+        if f1[3] == f2[3] and f1[2] == f2[2]:
+            a1, a2 = sorted((level[f1[0]], level[f1[1]]))
+            b1, b2 = sorted((level[f2[0]], level[f2[1]]))
+            if _reference_interleaved(a1, a2, b1, b2):
+                return False
+    for left, right, pos, _side in folds:
+        lo, hi = sorted((level[left], level[right]))
+        for s, (slo, shi, _o) in enumerate(sheets):
+            if s not in (left, right) and lo < level[s] < hi and slo < pos < shi:
+                return False
+    return True
+
+
+def labels_read_off(model, stacking):
+    """The labels that constraint (a) asks of a stacking: a fold is a valley
+    exactly when its right sheet lies above its left one and the left one
+    shows sheet 0's face, or neither."""
+    level = {s: lvl for lvl, s in enumerate(stacking)}
+    return MVAssignment(tuple(
+        MVLabel.VALLEY if (level[right] > level[left]) == (model.sheets[left][2] == 1)
+        else MVLabel.MOUNTAIN
+        for left, right, _pos, _side in model.folds
+    ))
+
+
+def _run_nets(stars):
+    return [oracle_module._restricted_net(v, run) for v in stars for run in find_runs(v)]
+
+
+class TestStackingValidReference:
+    def test_every_stacking_and_labeling_of_small_models(self):
+        stars = [v for v in seeded_stars(10) + seeded_stars(11) if len(v) <= 6]
+        stars += [CONE_7_11_13, AngleSequence((60,) * 6)]
+        models = [fold_directions(v) for v in stars]
+        models += [net for net in _run_nets(stars + [MIRROR]) if len(net.sheets) <= 6]
+        assert any(len(m.sheets) == 6 for m in models) and any(len(m.folds) < len(m.sheets) for m in models)
+        verdicts = set()
+        for model in models:
+            perms = list(itertools.permutations(range(len(model.sheets))))
+            for labels in itertools.product(tuple(MVLabel), repeat=len(model.folds)):
+                mv = MVAssignment(labels)
+                for perm in perms:
+                    valid = stacking_valid(model, mv, perm)
+                    assert valid == reference_stacking_valid(model, mv, perm), (model, str(mv), perm)
+                    verdicts.add(valid)
+        assert verdicts == {True, False}
+
+    def test_random_stackings_of_larger_models_and_runs(self):
+        # half the labelings are read off the stacking, so that (a) holds and
+        # (b) and (c) decide
+        rng = random.Random(24)
+        stars = [v for v in seeded_stars(12) + seeded_stars(13) if len(v) >= 8]
+        stars += [AngleSequence((45,) * 8), AngleSequence((36,) * 10),
+                  AngleSequence((24, 72, 24, 24, 48, 24, 48, 24, 24, 24))]
+        models = [fold_directions(v) for v in stars]
+        runs = [net for net in _run_nets(list(seeded_stars(12)) + stars) if len(net.sheets) >= 5]
+        assert runs
+        verdicts = set()
+        for model in models + runs:
+            n, m = len(model.sheets), len(model.folds)
+            for i in range(400):
+                perm = rng.sample(range(n), n)
+                if i % 2:
+                    mv = labels_read_off(model, perm)
+                else:
+                    mv = MVAssignment(tuple(rng.choice(tuple(MVLabel)) for _ in range(m)))
+                valid = stacking_valid(model, mv, perm)
+                assert valid == reference_stacking_valid(model, mv, perm), (model, str(mv), perm)
+                verdicts.add((i % 2, valid))
+        assert verdicts == {(0, False), (1, False), (1, True)}
 
 
 class TestLabelDoor:
@@ -661,7 +789,7 @@ class TestLabelsReadInPlace:
                 steps, labels = _ReadLog(tables.closing), _ReadLog(mv.labels)
                 logged = oracle_module.LayerModel(model.sheets, model.folds)
                 logged.__dict__["_tables"] = dataclasses.replace(tables, closing=steps)
-                found = oracle_module._search(logged, labels)
+                found = oracle_module._search(logged, labels).get(mv.labels)
                 last = max(steps.read)
                 assert set(steps.read) == set(range(1, last + 1)), (v.as_strings(), str(mv))
                 assert all(closes_at[fi] <= last for fi in labels.read)

@@ -527,22 +527,34 @@ def test_integer_crease_order_and_stars_match_the_fraction_reference():
 
 
 def test_local_kawasaki_all_sorts_each_vertex_once(monkeypatch):
+    # one sorted read of each vertex's directions gives its curve and the
+    # names of its sectors
     import flatfold.pattern as patmod
 
-    calls = []
-    real = core.incident_creases_ccw
+    reads, sorts = [], []
+    real_read, real_sort = core._directions, core._ccw_directions
 
-    def counting(p, v):
-        calls.append(v)
-        return real(p, v)
+    def reading(p, v):
+        reads.append(v)
+        return real_read(p, v)
 
-    monkeypatch.setattr(core, "incident_creases_ccw", counting)
-    monkeypatch.setattr(patmod, "incident_creases_ccw", counting)
-    for p in (grid_pattern(random.Random(5), 5), chain_pattern(random.Random(5), 4, True)):
+    def sorting(p, v):
+        sorts.append(v)
+        return real_sort(p, v)
+
+    monkeypatch.setattr(core, "_directions", reading)
+    monkeypatch.setattr(core, "_ccw_directions", sorting)
+    monkeypatch.setattr(patmod, "_ccw_directions", sorting)
+    named = set()
+    for p in (grid_pattern(random.Random(5), 5), chain_pattern(random.Random(5), 4, True),
+              cross_pattern()):
         for q in (p, rotated(p)):
-            calls.clear()
-            local_kawasaki_all(q)
-            assert sorted(calls) == q.interior_vertex_ids()
+            reads.clear()
+            sorts.clear()
+            report = local_kawasaki_all(q)
+            assert sorted(reads) == sorted(sorts) == q.interior_vertex_ids()
+            named |= {check.angles is not None for check in report.values()}
+    assert named == {True, False}
 
 
 def _random_direction(rng, size):
