@@ -1,18 +1,28 @@
 """Command-line front end: parse inputs, run analyses, emit reports.
 
+`parse_argv` reads a command line against `COMMANDS`, one table of every
+command's positional, options, defaults and help. The command (``pattern``
+and its subcommand) comes first; options may follow anywhere, as ``--opt
+VALUE``, ``--opt=VALUE`` or a unique prefix of the option, and the last of a
+repeated option wins. ``-o`` stands for ``--output``, also as ``-oVALUE``.
+``--`` ends the options just before or after the positional. A token of
+``-`` followed by a digit or ``.`` is a value, so ``-90,90`` reaches the
+angle parser. ``-h`` or ``--help``, first or after any command, prints that
+level's help from the table.
+
 Each ``cmd_*`` returns ``(report, violation)`` and prints nothing; a violation
 is the message of a disagreement between two deciders. `main` renders the
 report once, as JSON or as the text lines of the renderer stored beside
-``--format``. Exit codes: 0 when the analysis ran (negative mathematical verdicts are
-results, not failures), 1 for usage/parse errors and for a closed stdout, 2
-for internal invariant violations such as the oracle and the recursion
-disagreeing in ``selftest``, and for any unexpected exception, which is
-reported without a traceback.
+``--format``; help is rendered the same way. Exit codes: 0 when the analysis
+ran (negative mathematical verdicts are results, not failures) or help was
+printed, 1 for usage/parse errors and for a closed stdout, 2 for internal
+invariant violations such as the oracle and the recursion disagreeing in
+``selftest``, and for any unexpected exception, which is reported without a
+traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import json
@@ -21,7 +31,9 @@ import operator
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Any, Optional
 
 from . import corpus, oracle, pattern as patmod, vertex as vxmod
@@ -622,83 +634,153 @@ def _selftest_lines(report: dict) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# argument parsing: `parse_argv` reads a command line against one table
+
+# kind: None for a flag; int or str converts the value; a tuple holds the choices
+_Opt = namedtuple("_Opt", "names field kind help default required", defaults=(None, False))
+# options: each option string, -h and --help among them, to its _Opt; fields:
+# the defaults, func and text that a command line starts from
+_Command = namedtuple("_Command", "help positional options fields")
+_Group = namedtuple("_Group", "help commands")
+_HELP = _Opt(("-h", "--help"), "help", None, "show this help")
+_FORMAT = _Opt(("--format",), "format", ("text", "json"), "report format", "text")
+_ANGLES = ("angles", 'sector angles, e.g. "90,90,90,90"')
+_FILE = ("file", "crease-pattern JSON document")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        raise ParseError(message)
+def _command(help_text, func, positional, *options, text=_text_lines) -> _Command:
+    fields = {positional[0]: None} if positional else {}
+    fields.update(format="text", func=func, text=text)
+    fields.update((o.field, o.default) for o in options)
+    table = {name: o for o in (*options, _HELP) for name in o.names}
+    return _Command(help_text, positional, table, fields)
 
 
-def _add_format(sub, text=_text_lines) -> None:
-    """``--format``, and beside it the renderer of the text format."""
-    sub.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    sub.set_defaults(text=text)
+COMMANDS = _Group("Flat-foldability analysis for origami crease patterns.", {
+    "analyze": _command("closure, parity, bounds, and count", cmd_count, _ANGLES, _FORMAT),
+    "count": _command("count valid assignments", cmd_count, _ANGLES, _FORMAT),
+    "check": _command(
+        "check one mountain-valley assignment", cmd_check, _ANGLES, _FORMAT,
+        _Opt(("--mv",), "mv", str, "labels such as MMVM", required=True),
+        _Opt(("--oracle",), "oracle", None, "force the exhaustive oracle beyond its default "
+             "size limit, up to %d creases" % FORCED_ORACLE_LIMIT, False)),
+    "enumerate": _command(
+        "list all valid assignments", cmd_enumerate, _ANGLES, _FORMAT,
+        _Opt(("--fast",), "fast", None, "list from the counting recursion instead of the "
+             "exhaustive oracle, up to %d assignments" % vxmod.ENUMERATE_LIMIT, False)),
+    "pattern": _Group("multi-vertex pattern tools", {
+        "check": _command("necessary-condition report", cmd_pattern_check, _FILE, _FORMAT),
+        "svg": _command("render the pattern as SVG", cmd_pattern_svg, _FILE,
+                        _Opt(("-o", "--output"), "output", str, "SVG file to write", required=True),
+                        text=lambda report: ["wrote %s" % report["wrote"]])}),
+    "selftest": _command(
+        "recursion-vs-oracle corpus check", cmd_selftest, None, _FORMAT,
+        _Opt(("--seed",), "seed", int, "corpus seed", 20250810),
+        _Opt(("--per-size",), "per_size", int,
+             "corpus stars per size, 0 to %d" % SELFTEST_PER_SIZE_LIMIT, 6), text=_selftest_lines),
+})
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then reused."""
-    parser = _Parser(
-        prog="flatfold",
-        description="Flat-foldability analysis for origami crease patterns.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(tok: str, options: dict) -> Optional[tuple]:
+    """``(option, attached value or None)``, ``(None, None)`` for an unknown
+    option, or None for a value (see the module docstring)."""
+    if tok in options:
+        return options[tok], None
+    c = tok[1:2]
+    if tok[:1] != "-" or c in ("", ".") or c.isdecimal() or tok == "--":
+        return None
+    if c != "-":  # -oVALUE, -o=VALUE
+        if tok[:2] in options:
+            return options[tok[:2]], tok[3:] if tok[2] == "=" else tok[2:]
+    else:  # --option=VALUE, or a unique prefix of an option
+        name, eq, value = tok.partition("=")
+        hits = [name] if name in options else [o for o in options if o.startswith(name)]
+        if len(hits) > 1:
+            raise ParseError("ambiguous option: %s could match %s" % (tok, ", ".join(hits)))
+        if hits:
+            return options[hits[0]], value if eq else None
+    return None if " " in tok else (None, None)  # "-a b" is a value
 
-    angle_commands = {}
-    for name, help_text, func in (
-        ("analyze", "closure, parity, bounds, and count", cmd_count),
-        ("count", "count valid assignments", cmd_count),
-        ("check", "check one mountain-valley assignment", cmd_check),
-        ("enumerate", "list all valid assignments", cmd_enumerate),
-    ):
-        cmd = angle_commands[name] = sub.add_parser(name, help=help_text)
-        cmd.add_argument("angles", help='sector angles, e.g. "90,90,90,90"')
-        _add_format(cmd)
-        cmd.set_defaults(func=func)
-    angle_commands["check"].add_argument("--mv", required=True, help="labels such as MMVM")
-    angle_commands["check"].add_argument(
-        "--oracle",
-        action="store_true",
-        help="force the exhaustive oracle beyond its default size limit, up to %d creases"
-        % FORCED_ORACLE_LIMIT,
-    )
-    angle_commands["enumerate"].add_argument(
-        "--fast",
-        action="store_true",
-        help="list from the counting recursion instead of the exhaustive oracle, "
-        "up to %d assignments" % vxmod.ENUMERATE_LIMIT,
-    )
 
-    p_pattern = sub.add_parser("pattern", help="multi-vertex pattern tools")
-    psub = p_pattern.add_subparsers(dest="pattern_command", required=True)
-    p_pcheck = psub.add_parser("check", help="necessary-condition report")
-    p_pcheck.add_argument("file", help="crease-pattern JSON document")
-    _add_format(p_pcheck)
-    p_pcheck.set_defaults(func=cmd_pattern_check)
-    p_psvg = psub.add_parser("svg", help="render the pattern as SVG")
-    p_psvg.add_argument("file")
-    p_psvg.add_argument("-o", "--output", required=True)
-    p_psvg.set_defaults(func=cmd_pattern_svg, format="text",
-                        text=lambda report: ["wrote %s" % report["wrote"]])
+def _help(prog: str, spec) -> SimpleNamespace:
+    """A command line that reports the help of ``spec``, read off the table."""
+    if isinstance(spec, _Group):
+        usage = " COMMAND ..."
+        rows = [(n, sub.help) for n, sub in spec.commands.items()] + [("-h, --help", _HELP.help)]
+    else:
+        usage = " [options]" + (" " + spec.positional[0].upper() if spec.positional else "")
+        rows = [spec.positional] if spec.positional else []
+        for o in dict.fromkeys(spec.options.values()):
+            arg = "" if o.kind is None else " " + (
+                "{%s}" % ",".join(o.kind) if isinstance(o.kind, tuple) else o.field.upper())
+            rows.append((", ".join(o.names) + arg, o.help + " (required)" * o.required))
+    width = max(len(name) for name, _ in rows)
+    text = "\n".join(["usage: " + prog + usage, "", spec.help, ""]
+                     + ["  %-*s  %s" % (width, name, what) for name, what in rows])
+    return SimpleNamespace(func=lambda args: (text, None), format="text", text=lambda t: [t])
 
-    p_self = sub.add_parser("selftest", help="recursion-vs-oracle corpus check")
-    p_self.add_argument("--seed", type=int, default=20250810)
-    p_self.add_argument(
-        "--per-size", type=int, default=6,
-        help="corpus stars per size, 0 to %d" % SELFTEST_PER_SIZE_LIMIT,
-    )
-    _add_format(p_self, text=_selftest_lines)
-    p_self.set_defaults(func=cmd_selftest)
 
-    return parser
+def parse_argv(argv: list[str]) -> SimpleNamespace:
+    """The fields of one command line, read against `COMMANDS` by the grammar
+    in the module docstring; ``-h`` gives one whose report is the help."""
+    spec, dest, prog, fields, i, n = COMMANDS, "command", "flatfold", {}, 0, len(argv)
+    while isinstance(spec, _Group):
+        name = argv[i] if i < n else ""
+        if _option(name, {"-h": _HELP, "--help": _HELP}) == (_HELP, None):
+            return _help(prog, spec)
+        if name not in spec.commands:
+            raise ParseError("argument %s: invalid choice: %r (choose from %s)" % (
+                dest, name, ", ".join(map(repr, spec.commands))) if i < n
+                else "the following arguments are required: %s" % dest)
+        fields[dest], spec, dest = name, spec.commands[name], "pattern_command"
+        prog, i = prog + " " + name, i + 1
+    fields.update(spec.fields)
+    options, positional, ended, filled = spec.options, spec.positional, False, -1
+    while i < n:
+        tok, i = argv[i], i + 1
+        dash = tok == "--" and not ended  # it ends the options next to the positional
+        found = None if ended or dash else _option(tok, options)
+        if found is None and (not positional or filled >= 0 and not (dash and filled == i - 2)):
+            raise ParseError("unrecognized arguments: %s" % tok)  # a value too many
+        if dash:
+            ended = True
+        elif found is None:
+            fields[positional[0]], filled = tok, i - 1
+        elif found[0] is None:
+            raise ParseError("unrecognized arguments: %s" % tok)
+        else:
+            opt, value = found
+            name = "/".join(opt.names)
+            if opt is _HELP and value is None:
+                return _help(prog, spec)
+            if opt.kind is None:
+                if value is not None:
+                    raise ParseError("argument %s: ignored explicit argument %r" % (name, value))
+                value = True
+            elif value is None:
+                if i == n or argv[i] == "--" or _option(argv[i], options) is not None:
+                    raise ParseError("argument %s: expected one argument" % name)
+                value, i = argv[i], i + 1
+            if opt.kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ParseError("argument %s: invalid int value: %r" % (name, value)) from None
+            elif isinstance(opt.kind, tuple) and value not in opt.kind:
+                raise ParseError("argument %s: invalid choice: %r (choose from %s)"
+                                 % (name, value, ", ".join(map(repr, opt.kind))))
+            fields[opt.field] = value
+    missing = [k for k, v in fields.items() if v is None]
+    if missing:
+        names = {o.field: "/".join(o.names) for o in options.values()}
+        raise ParseError("the following arguments are required: %s"
+                         % ", ".join(names.get(k, k) for k in missing))
+    return SimpleNamespace(**fields)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         report, violation = args.func(args)
         print(_json(report) if args.format == "json" else "\n".join(args.text(report)))
         sys.stdout.flush()

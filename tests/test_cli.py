@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -7,14 +8,15 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatfold import cli, core, oracle, vertex
-from flatfold.cli import _json, build_parser, emit_svg, main, parse_angles, parse_pattern
+from flatfold.cli import _json, emit_svg, main, parse_angles, parse_argv, parse_pattern
 from flatfold.core import AngleSequence, CreasePattern, MVLabel, normalize_pattern
 from flatfold.errors import ParseError, PlanarityError, SchemaError
 from flatfold.pattern import curve_around_vertex
+from reference_parser import build_parser
 
 
 class TestParseAngles:
@@ -679,7 +681,7 @@ class TestCommands:
     def test_commands_return_reports_that_main_renders(self, capsys, tmp_path, argv):
         path = write_pattern(tmp_path, VALID_DOC)
         argv = [path if a == "PATTERN" else a for a in argv]
-        args = build_parser().parse_args(argv)
+        args = parse_argv(argv)
         report, violation = args.func(args)
         assert violation is None
         assert capsys.readouterr() == ("", "")
@@ -868,3 +870,103 @@ class TestCommands:
         assert code == 2
         assert "FAIL" in out
         assert "invariant" in err
+
+
+# tokens of the command lines that parse_argv and the reference parser must
+# read alike: command names, every option, unique and ambiguous prefixes, `=`
+# forms, `--`, unknown options, and values of every kind, `-<digit>` ones
+# among them
+_COMMAND_TOKENS = ["analyze", "count", "check", "enumerate", "pattern", "selftest",
+                   "svg", "bogus", "--"]
+_ARGV_TOKENS = _COMMAND_TOKENS + [
+    "--format", "--fo", "--f", "--format=json", "--form=text", "--format=xml", "--format=",
+    "--mv", "--m", "--mv=MMMV", "--mv=", "--oracle", "--or", "--o", "--oracle=x",
+    "--fast", "--fa", "--fast=", "--output", "--out", "--output=o.svg", "-o", "-o=o.svg",
+    "-oo.svg", "--seed", "--s", "--seed=3", "--per-size", "--per", "--p", "--per-size=2",
+    "--bogus", "--bogus=1", "-x", "--", "--", "--mv MM", "--fo=a b", "-o=", "--seed=-5",
+    "90,90,90,90", "90 90 90 90", "MMMV", "json", "text", "xml", "5", "1e3", "-5", "-.5",
+    "-90,90", "-9x", "-", "", "a=b", "-x y", "f.json",
+]
+# the negative numbers that argparse reads as values
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_FIELDS = ("command", "pattern_command", "angles", "file", "format", "mv", "oracle", "fast",
+           "output", "seed", "per_size", "func", "text")
+
+
+def _parsed(parse, argv):
+    try:
+        return parse(argv)
+    except ParseError:
+        return None
+
+
+class TestParseArgv:
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_COMMAND_TOKENS), max_size=2),
+        st.lists(st.sampled_from(_ARGV_TOKENS), max_size=7),
+    )
+    @example(["check"], ["90,90,90,90", "--mv", "--", "MMMV"])
+    @example(["count"], ["x", "--format", "json", "--"])
+    @example(["count"], ["--format=json", "--", "x"])
+    @example(["analyze"], ["--", "x", "--"])
+    @example(["count"], ["-90,90"])
+    @example(["pattern", "svg"], ["f.json", "-o", "-9x"])
+    @example(["pattern", "svg"], ["-oo.svg", "-o", "-90,90", "--o", "5", "check"])
+    def test_accepts_what_the_reference_parser_accepts(self, head, tail):
+        # the one difference: a token of `-` and a digit or `.` is a value,
+        # where argparse takes it for an unknown option unless it reads as a
+        # number. The reference sees each such token as a plain value.
+        argv = head + tail
+        plain = {t: "value%d" % i for i, t in enumerate(argv)
+                 if t[:1] == "-" and t[1:2] in ".0123456789" and not _NUMBER.match(t)}
+        want = _parsed(build_parser().parse_args, [plain.get(t, t) for t in argv])
+        got = _parsed(parse_argv, argv)
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        back = {v: t for t, v in plain.items()}
+        assert set(vars(got)) == set(vars(want)) <= set(_FIELDS)
+        for field in set(vars(got)) - {"text"}:
+            assert getattr(got, field) == back.get(getattr(want, field), getattr(want, field))
+        report = {"wrote": "out.svg", "cases": [], "sequences": 0, "failures": 0}
+        assert got.text(report) == want.text(report)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "90,90,90,90"], "the following arguments are required: --mv"),
+        (["count", "90,90,90,90", "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'analyze', "
+                    "'count', 'check', 'enumerate', 'pattern', 'selftest')"),
+        (["count", "90,90,90,90", "extra"], "unrecognized arguments: extra"),
+        (["selftest", "--per-size", "1e3"], "argument --per-size: invalid int value: '1e3'"),
+        (["count"], "the following arguments are required: angles"),
+        (["pattern", "svg", "f.json", "-o"], "argument -o/--output: expected one argument"),
+        (["enumerate", "--f", "90,90,90,90"],
+         "ambiguous option: --f could match --format, --fast"),
+    ], ids=["missing-mv", "bad-format", "unknown-command", "extra-positional",
+            "per-size-exponent", "missing-angles", "missing-value", "ambiguous-prefix"])
+    def test_usage_error_messages(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv, names", [
+        (["-h"], ["analyze", "count", "check", "enumerate", "pattern", "selftest"]),
+        (["--he"], ["analyze", "count", "check", "enumerate", "pattern", "selftest"]),
+        (["check", "--help"], ["--mv", "--oracle", "--format", "angles"]),
+        (["check", "90,90,90,90", "-h", "--mv"], ["--mv", "--oracle"]),
+        (["pattern", "-h"], ["check", "svg"]),
+        (["pattern", "svg", "--help"], ["-o, --output", "file"]),
+        (["selftest", "--h"], ["--seed", "--per-size"]),
+    ])
+    def test_help_prints_and_returns_zero(self, capsys, argv, names):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: flatfold")
+        for name in names:
+            assert name in out
+
+    @pytest.mark.parametrize("argv", [["count", "-90,90"], ["check", "-90,270", "--mv", "MM"]])
+    def test_negative_angle_reaches_the_angle_parser(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: non-positive angle '-90' at position 1\n"
+        )
