@@ -24,7 +24,6 @@ traceback.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import operator
@@ -321,14 +320,14 @@ def _json(value: Any) -> str:
 
     The indenting encoder of `json` is pure Python, and a count report is
     mostly residuals: lists of sector strings, each repeating most of the one
-    before. Here each dict or list level is one join, and each distinct
-    string is escaped once per report. A list of plain strings that the
-    encoder leaves as they are (`_UNESCAPED`), such as a residual, is joined
-    whole with its quotes in the separator (`json` encodes a subclass of str
-    there by its data). Floats, and other subclasses of str and int, go to
-    `json.dumps`.
+    before. Here each dict or list level is one join, and each string is
+    escaped by the encoder's own `encode_basestring_ascii`, except in a list
+    of plain strings that it leaves as they are (`_UNESCAPED`), such as a
+    residual: that list is joined whole with its quotes in the separator
+    (`json` encodes a subclass of str there by its data). Floats, and other
+    subclasses of str and int, go to `json.dumps`.
     """
-    escape = functools.cache(json.encoder.encode_basestring_ascii)
+    escape = json.encoder.encode_basestring_ascii
 
     def render(value: Any, indent: str) -> str:
         if type(value) is str:

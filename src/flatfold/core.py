@@ -173,15 +173,17 @@ class MVAssignment:
 Labels = Union[MVAssignment, str, Sequence[str]]
 
 
-def _as_assignment(labels: Labels) -> MVAssignment:
+def _as_assignment(labels: Labels, creases: Optional[int] = None) -> MVAssignment:
     """Labels in any form as an `MVAssignment`: one is kept as it is, a string
     goes through `MVAssignment.from_string`, and any other sequence through
-    `MVAssignment`. Every function that takes labels reads them here."""
-    if isinstance(labels, MVAssignment):
-        return labels
-    if isinstance(labels, str):
-        return MVAssignment.from_string(labels)
-    return MVAssignment(tuple(labels))
+    `MVAssignment`. Every function that takes labels reads them here, and one
+    that needs a label per crease passes the number of ``creases``."""
+    if not isinstance(labels, MVAssignment):
+        labels = (MVAssignment.from_string(labels) if isinstance(labels, str)
+                  else MVAssignment(tuple(labels)))
+    if creases is not None and len(labels) != creases:
+        raise ValueError("assignment length must match the number of creases")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -655,26 +657,17 @@ def _directions(p: CreasePattern, v: int) -> list[tuple[int, tuple[int, int]]]:
     return out
 
 
-def incident_creases_ccw(p: CreasePattern, v: int) -> list[int]:
-    """The creases at v, sorted counterclockwise from +x."""
-    return [ci for ci, _ in sorted(_directions(p, v), key=lambda cd: _ccw_key(cd[1]))]
-
-
 def _ccw_directions(p: CreasePattern, v: int) -> list[tuple[int, tuple[int, int]]]:
     """Each crease at the interior vertex v with its direction, sorted
     counterclockwise from +x: one read serves a vertex's curve and its star."""
-    return sorted(_interior(p, v, _directions(p, v)), key=lambda cd: _ccw_key(cd[1]))
-
-
-def _interior(p: CreasePattern, v: int, creases: list) -> list:
-    """``creases``, the creases at v in any form, once v is interior and has some."""
+    creases = _directions(p, v)
     if p.vertices[v].on_boundary:
         raise StructuralError(
             "vertex %d is on the border; border vertices follow different rules" % v
         )
     if not creases:
         raise StructuralError("vertex %d has no creases" % v)
-    return creases
+    return sorted(creases, key=lambda cd: _ccw_key(cd[1]))
 
 
 def _direction_degrees_exact(d: tuple[int, int]) -> Optional[int]:

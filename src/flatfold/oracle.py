@@ -12,12 +12,13 @@ satisfies the three layer constraints:
       lie strictly between that fold's two sectors.
 
 Overlap is measured on open intervals: creases have no width, so touching
-at an endpoint never conflicts. Everything is exact; no tolerances. One
-entry, `_vertex_net`, works out what the oracle needs of a whole star by
-itself, with none of the recursion's arithmetic: the integer scale, each
-sector times the LCM of the denominators (`_integer_sectors`, not
-`AngleSequence.ints`; a positive scale keeps every order and equality),
-then the one-turn limit and closure on those integers.
+at an endpoint never conflicts. Everything is exact; no tolerances. The
+oracle reads a star's integers, `AngleSequence.ints`: each sector times the
+LCM of the denominators, a positive scale that keeps every order and
+equality. What it decides on them is its own, with none of the recursion's
+arithmetic: the one-turn limit and the closure test (`_vertex_net`), the
+folded nets, the constraint tables, the search and the re-check of every
+witness against the constraints themselves.
 
 One folded net, `LayerModel`, serves both questions the oracle answers, and
 one walk (`_walk`) builds it: a closed walk for a whole vertex
@@ -100,14 +101,13 @@ def _walk(start: int, sectors: Sequence[int], closed: bool) -> LayerModel:
     return LayerModel(tuple(sheets), tuple(folds))
 
 
-def _integer_sectors(v: AngleSequence) -> list[int]:
-    """The sectors in units of 1/L degree, L the LCM of their denominators.
+def _integer_sectors(v: AngleSequence) -> tuple[int, ...]:
+    """The sectors in units of 1/L degree, L the LCM of their denominators:
+    ``v.ints``, since `AngleSequence` keeps them over that L, ``v.den``.
     Refuses a star wider than one full turn, 360 L units."""
-    scale = math.lcm(*(a.denominator for a in v.angles))
-    ints = [a.numerator * (scale // a.denominator) for a in v.angles]
-    if sum(ints) > 360 * scale:
+    if sum(v.ints) > 360 * v.den:
         raise UnsupportedError("layer analysis supports sector totals up to one full turn")
-    return ints
+    return v.ints
 
 
 def _vertex_net(v: AngleSequence, limit: Optional[int] = None) -> Optional[LayerModel]:
@@ -145,9 +145,7 @@ def stacking_valid(model: LayerModel, mv: Labels, stacking: Sequence[int]) -> bo
     ``mv`` holds one label per fold of the model, read as `MVAssignment`
     reads labels, and ``stacking`` is a permutation of its sheets."""
     sheets, folds = model.sheets, model.folds
-    mv = _as_assignment(mv)
-    if len(mv) != len(folds):
-        raise ValueError("assignment length must match the number of creases")
+    mv = _as_assignment(mv, len(folds))
     if sorted(stacking) != list(range(len(sheets))):
         raise ValueError("stacking must be a permutation of the sectors")
     level = [0] * len(sheets)
@@ -409,9 +407,7 @@ def _stacking(model: LayerModel, labels: Labels) -> Optional[tuple[int, ...]]:
     the model under the labels, read as `MVAssignment` reads them, or None.
     Every witness is re-checked against the constraints themselves, which
     the search only reads through the model's tables."""
-    mv = _as_assignment(labels)
-    if len(mv) != len(model.folds):
-        raise ValueError("assignment length must match the number of creases")
+    mv = _as_assignment(labels, len(model.folds))
     found = _search(model, mv.labels)
     if not found:
         return None
@@ -475,22 +471,12 @@ def run_restricted_valid(v: AngleSequence, run: RunCondition, labels: Labels) ->
 def _restricted_net(v: AngleSequence, run: RunCondition) -> LayerModel:
     """Fold the run's k + 1 equal sectors between its two flanking flaps, on
     the star's integer scale: an open walk from minus the left flap, so the
-    first fold lies at 0."""
-    m = len(v)
-    if run.m != m or not 0 <= run.start < m or not 0 <= run.k <= m - 2:
-        raise ValueError("run %r does not fit a star of %d creases" % (tuple(run), m))
-    ints = _integer_sectors(v)
+    first fold lies at 0. The run is checked against the star as
+    `RunCondition.flanks` checks it, which decides nothing of the folding."""
+    left, val, right = run.flanks(_integer_sectors(v))
     if run.k + 2 > DEFAULT_LIMIT:
         raise CapacityError(
             "%d creases exceed the exhaustive-search limit of %d"
             % (run.k + 2, DEFAULT_LIMIT)
         )
-    val = ints[run.start]
-    for j in range(run.k + 1):
-        if ints[(run.start + j) % m] != val:
-            raise ValueError("run sectors are not all equal in this sequence")
-    left_a = ints[run.start - 1]
-    right_a = ints[(run.start + run.k + 1) % m]
-    if not (left_a > val and right_a > val):
-        raise ValueError("restricted folding needs strictly larger flanking sectors")
-    return _walk(-left_a, [left_a] + [val] * (run.k + 1) + [right_a], closed=False)
+    return _walk(-left, [left] + [val] * (run.k + 1) + [right], closed=False)

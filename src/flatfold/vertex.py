@@ -38,6 +38,14 @@ def _closes(ints: Sequence[int]) -> bool:
     return len(ints) % 2 == 0 and sum(ints[0::2]) == sum(ints[1::2])
 
 
+def _closing_ints(v: AngleSequence) -> tuple[int, ...]:
+    """The star's integers, ``v.ints``, once it closes: an open star has no
+    flat foldings to decide, count or list."""
+    if not _closes(v.ints):
+        raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
+    return v.ints
+
+
 def kawasaki(v: AngleSequence) -> bool:
     """Closure test: even degree and alternating sector sum zero.
 
@@ -80,6 +88,22 @@ class RunCondition(NamedTuple):
     def allowed_tallies(self) -> frozenset[int]:
         return frozenset({0}) if self.k % 2 == 0 else frozenset({-1, 1})
 
+    def flanks(self, ints: Sequence[int]) -> tuple[int, int, int]:
+        """The left flank, the run's sector and the right flank in ``ints``, a
+        star's integer sectors. Checks that the run fits the star, that its
+        sectors are equal and that both flanks are strictly larger, and
+        raises `ValueError` at the first that fails."""
+        m, start, k = len(ints), self.start, self.k
+        if self.m != m or not 0 <= start < m or not 0 <= k <= m - 2:
+            raise ValueError("run %r does not fit a star of %d creases" % (tuple(self), m))
+        val = ints[start]
+        if any(ints[(start + j) % m] != val for j in range(k + 1)):
+            raise ValueError("run sectors are not all equal in this sequence")
+        left, right = ints[start - 1], ints[(start + k + 1) % m]
+        if not (left > val and right > val):
+            raise ValueError("restricted folding needs strictly larger flanking sectors")
+        return left, val, right
+
 
 def _runs(vals: Sequence[int]) -> list[RunCondition]:
     """The maximal equal runs of ``vals`` whose cyclic neighbours are
@@ -103,17 +127,6 @@ def find_runs(v: AngleSequence) -> list[RunCondition]:
     return _runs(v.ints)
 
 
-def _check_run_against(v: AngleSequence, run: RunCondition) -> None:
-    m = len(v)
-    if run.m != m or not 0 <= run.start < m or not 0 <= run.k <= m - 2:
-        raise ValueError("run %r does not fit a star of %d creases" % (tuple(run), m))
-    ints, val = v.ints, v.ints[run.start]
-    if any(ints[(run.start + j) % m] != val for j in range(run.k + 1)):
-        raise ValueError("run sectors are not all equal in this sequence")
-    if not (ints[run.start - 1] > val and ints[(run.start + run.k + 1) % m] > val):
-        raise ValueError("restricted folding needs strictly larger flanking sectors")
-
-
 def run_validity(v: AngleSequence, run: RunCondition, mv: Labels) -> bool:
     """Whether the labels fold the run's creases flat in isolation.
 
@@ -122,7 +135,7 @@ def run_validity(v: AngleSequence, run: RunCondition, mv: Labels) -> bool:
     necessary and sufficient for those creases folded on their own, the rest
     of the paper acting as an unfolded cone.
     """
-    _check_run_against(v, run)
+    run.flanks(v.ints)
     mv = _as_assignment(mv)
     if len(mv) == len(v):
         mv = MVAssignment(tuple(mv[c] for c in run.creases))
@@ -144,15 +157,8 @@ def crimp_validity(v: AngleSequence, mv: Labels) -> bool:
     first eligible sector in index order; any eligible crimp preserves
     validity. Works on the star's integers, `AngleSequence.ints`.
     """
-    ints = v.ints
-    if not _closes(ints):
-        raise NotFlatFoldableError(
-            "closure fails, so no assignment folds this vertex flat"
-        )
-    mv = _as_assignment(mv)
-    if len(mv) != len(v):
-        raise ValueError("assignment length must match the number of creases")
-    sectors = list(ints)
+    sectors = list(_closing_ints(v))
+    mv = _as_assignment(mv, len(sectors))
     labels = list(mv.labels)
     while True:
         m = len(sectors)
@@ -263,9 +269,7 @@ def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
     reduces the star's scaled integer sectors, and each step keeps its
     residual as integers over the star's denominator.
     """
-    ints, den = v.ints, v.den
-    if not _closes(ints):
-        raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
+    ints, den = _closing_ints(v), v.den
     limits = bounds(v)
     residual: tuple[int, ...] = ints
     product = 1
@@ -320,9 +324,7 @@ def enumerate_words(v: AngleSequence) -> list[str]:
     `ENUMERATE_LIMIT` it raises `CapacityError`. A star whose lower bound
     (see `bounds`) is already above the limit is refused before the replay.
     """
-    ints = v.ints
-    if not _closes(ints):
-        raise NotFlatFoldableError("closure fails; this vertex has no flat foldings")
+    ints = _closing_ints(v)
     least = bounds(v)[0]
     if least > ENUMERATE_LIMIT:
         raise CapacityError(

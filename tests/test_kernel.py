@@ -385,6 +385,10 @@ def test_default_pick_hand_cases(seq, run):
 
 
 def test_enumerate_needs_closure():
+    # an open even star and an odd one: every decider refuses them alike
     for v in (AngleSequence((100, 80, 90, 90)), AngleSequence((90, 90, 180))):
-        with pytest.raises(NotFlatFoldableError):
-            enumerate_mv(v)
+        for decide in (enumerate_mv, enumerate_words, count_mv,
+                       lambda v: crimp_validity(v, "M" * len(v))):
+            with pytest.raises(NotFlatFoldableError,
+                               match="^closure fails; this vertex has no flat foldings$"):
+                decide(v)

@@ -76,6 +76,9 @@ class TestFoldDirections:
             model = fold_directions(v)
             assert _net(model) == _scaled(v, _reference_vertex_net(v)), v.as_strings()
             assert _all_ints(model), v.as_strings()
+            # the sheets span the star's integers, however the star was given
+            assert tuple(hi - lo for lo, hi, _o in model.sheets) == v.ints
+            assert fold_directions(AngleSequence([3 * n for n in v.ints], 3 * v.den)) == model
             for run in find_runs(v):
                 model = oracle_module._restricted_net(v, run)
                 assert _net(model) == _scaled(v, _reference_run_net(v, run)), (
@@ -141,10 +144,16 @@ class TestOracleIsValid:
 
     @pytest.mark.parametrize("labels", ["MMV", "MMVMV", "MMMVMMMV"])
     def test_label_count_checked(self, labels):
+        # every decider of a whole vertex reads the labels through one check
         mv = MVAssignment.from_string(labels)
-        for decide in (find_stacking, oracle_is_valid):
-            with pytest.raises(ValueError, match="^assignment length must match"):
-                decide(SQUARE, mv)
+        model = fold_directions(SQUARE)
+        for decide in (find_stacking, oracle_is_valid, crimp_validity,
+                       lambda v, mv: stacking_valid(model, mv, (0, 1, 2, 3))):
+            for form in (mv, labels):
+                with pytest.raises(
+                    ValueError, match="^assignment length must match the number of creases$"
+                ):
+                    decide(SQUARE, form)
 
     def test_search_agrees_with_exhaustive_permutations(self):
         for seq in (SQUARE, MIRROR, AngleSequence((40, 60, 140, 120))):
@@ -262,6 +271,24 @@ class TestRunRestricted:
         (run,) = find_runs(MIRROR)
         with pytest.raises(ValueError):
             run_restricted_valid(MIRROR, run, (MVLabel.MOUNTAIN,))
+
+    @pytest.mark.parametrize("v", [
+        AngleSequence((90, 60, 60, 90, 30, 30)),
+        AngleSequence((80, 50, 50, 80, 20, 20)),  # a 300-degree cone
+    ], ids=["flat", "cone"])
+    @pytest.mark.parametrize("run, message", [
+        ((1, 1, 4), r"^run \(1, 1, 4\) does not fit a star of 6 creases$"),
+        ((0, 1, 6), "^run sectors are not all equal in this sequence$"),
+        ((1, 0, 6), "^restricted folding needs strictly larger flanking sectors$"),
+    ], ids=["fit", "equal", "flanks"])
+    def test_both_deciders_give_one_message_per_run_fault(self, v, run, message):
+        # `RunCondition.flanks` checks a run for both: it does not fit, its
+        # sectors differ, or a flank is not strictly larger
+        run = RunCondition(*run)
+        labels = "M" * (run.k + 2)
+        for decide in (run_validity, run_restricted_valid):
+            with pytest.raises(ValueError, match=message):
+                decide(v, run, labels)
 
     @pytest.mark.parametrize("run", [(1, 1, 4), (7, 1, 6), (0, 5, 6)])
     def test_both_deciders_refuse_a_run_that_does_not_fit(self, run):
