@@ -145,10 +145,18 @@ def _pattern_number(token: str, what: str) -> str:
     return token
 
 
-def _coerce_coordinate(value: Any, what: str) -> Fraction:
+def _pattern_int(token: str) -> int:
+    """A JSON int token, which cannot hold an exponent: only its length is checked."""
+    if len(token) > _MAX_TOKEN_CHARS:
+        raise SchemaError("a number is longer than %d characters" % _MAX_TOKEN_CHARS)
+    return int(token)
+
+
+def _coerce_coordinate(value: Any, what: str) -> int | Fraction:
+    """An int stays an int and a `Fraction` a `Fraction`: both are exact."""
     # `type`, not `isinstance`, here and for indices: JSON true is an int
     if type(value) in (int, Fraction):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(_pattern_number(value, what))
@@ -162,7 +170,8 @@ def parse_pattern(path: str) -> CreasePattern:
 
     Schema: {"vertices": [[x, y], ...], "creases": [[i, j], ...],
     "boundary": [i, ...], "assignment": ["M"|"V", ...] (optional)} with
-    coordinates as numbers or rational strings; decimals parse exactly.
+    coordinates as numbers or rational strings; decimals parse exactly, and
+    an integer stays an `int`.
     Numbers follow the rules of angle tokens: at most `_MAX_TOKEN_CHARS`
     characters and no exponent.
     """
@@ -170,7 +179,7 @@ def parse_pattern(path: str) -> CreasePattern:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(
                 fh,
-                parse_int=lambda t: int(_pattern_number(t, "number")),
+                parse_int=_pattern_int,
                 parse_float=lambda t: Fraction(_pattern_number(t, "number")),
             )
     except OSError as exc:
@@ -190,12 +199,8 @@ def parse_pattern(path: str) -> CreasePattern:
     for entry in data["vertices"]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError("each vertex must be an [x, y] pair")
-        points.append(
-            (
-                _coerce_coordinate(entry[0], "coordinate"),
-                _coerce_coordinate(entry[1], "coordinate"),
-            )
-        )
+        points.append((_coerce_coordinate(entry[0], "coordinate"),
+                       _coerce_coordinate(entry[1], "coordinate")))
     creases = []
     for entry in data["creases"]:
         if (
@@ -526,29 +531,22 @@ def cmd_enumerate(args) -> Result:
 
 def cmd_pattern_check(args) -> Result:
     p = parse_pattern(args.file)
-    kaw = patmod.local_kawasaki_all(p)
+    local, traces = {}, {}
+    for vid, chk in patmod.local_kawasaki_all(p).items():
+        passes = chk.passes  # the verdict, read once
+        angles = None if chk.angles is None else list(chk.angles)
+        key = str(vid)
+        local[key] = {"passes": passes, "exact": angles is not None, "angles": angles}
+        traces[key] = {"creases_crossed": list(chk.curve), "is_identity": passes,
+                       "reason": None if passes else chk.trace.failure_reason}
     report: dict[str, Any] = {
         "command": "pattern-check",
         "vertices": len(p.vertices),
         "creases": len(p.creases),
         "interior_vertices": p.interior_vertex_ids(),
         "split_vertices": sorted(p.split_vertices),
-        "local_kawasaki": {
-            str(vid): {
-                "passes": chk.passes,
-                "exact": chk.angles is not None,
-                "angles": None if chk.angles is None else list(chk.angles),
-            }
-            for vid, chk in kaw.items()
-        },
-        "reflection_traces": {
-            str(vid): {
-                "creases_crossed": list(chk.curve),
-                "is_identity": chk.trace.is_identity,
-                "reason": chk.trace.failure_reason,
-            }
-            for vid, chk in kaw.items()
-        },
+        "local_kawasaki": local,
+        "reflection_traces": traces,
         "scope": _NECESSARY_ONLY,
     }
     if p.assignment is None:

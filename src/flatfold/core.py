@@ -1,12 +1,15 @@
 """Exact domain types shared by every other module.
 
-Coordinates are `Fraction`s, a star's sectors integers over one denominator;
-nothing here touches floating point. Angle equality therefore means exact
-equality, which the counting recursion depends on: it is discontinuous in
-whether two sectors are equal, so a tolerance would silently change counts.
+A coordinate is an `int` when it is integral as given and a `Fraction`
+otherwise, a star's sectors integers over one denominator; nothing here
+touches floating point. Angle equality therefore means exact equality, which
+the counting recursion depends on: it is discontinuous in whether two
+sectors are equal, so a tolerance would silently change counts.
 
 Each value is checked once, where it is made: sectors by `AngleSequence`,
-labels by `MVAssignment`, and patterns by `CreasePattern.build`.
+labels by `MVAssignment`, and patterns by `CreasePattern.build`. A pattern
+keeps what its checks derive from it, such as each crease's reflection:
+each is built once per pattern.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import ExactnessError, PlanarityError, StructuralError
 
 Rational = Union[int, float, str, Fraction]
-Point = tuple[Fraction, Fraction]
+Exact = Union[int, Fraction]
+Point = tuple[Exact, Exact]  # an integral coordinate stays an int
 
 
 @dataclass(frozen=True, init=False)
@@ -188,8 +193,8 @@ def _as_assignment(labels: Labels, creases: Optional[int] = None) -> MVAssignmen
 
 @dataclass(frozen=True)
 class Vertex:
-    x: Fraction
-    y: Fraction
+    x: Exact
+    y: Exact
     on_boundary: bool
 
     @property
@@ -299,6 +304,22 @@ def _collinear_overlap(a: Point, b: Point, c: Point, d: Point) -> bool:
     return max(lo1, lo2) < min(hi1, hi2)
 
 
+def _reflection_entries(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int, int, int]:
+    """``(a, b, tx, ty, n)``: the reflection across the line through the
+    integer points ``p`` and ``q`` is x -> ((a, b; b, -a) x + (tx, ty)) / n.
+
+    For the line's primitive direction (dx, dy), n = dx^2 + dy^2,
+    a = dx^2 - dy^2 and b = 2 dx dy, with no division; ``p`` is fixed.
+    """
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    if dx == dy == 0:
+        raise StructuralError("cannot reflect across a zero-length crease")
+    g = math.gcd(dx, dy)  # keeps n, and every product, small
+    dx, dy = dx // g, dy // g
+    n, a, b = dx * dx + dy * dy, dx * dx - dy * dy, 2 * dx * dy
+    return a, b, n * p[0] - (a * p[0] + b * p[1]), n * p[1] - (b * p[0] - a * p[1]), n
+
+
 def _point_in_polygon(p: Point, poly: Sequence[Point]) -> bool:
     """Strict interior test; the caller must rule out boundary points first."""
     inside = False
@@ -343,7 +364,8 @@ class CreasePattern:
     ) -> "CreasePattern":
         """Construct from raw coordinates, deriving the border flags, and
         validate the result once."""
-        pts = [(_rational(x), _rational(y)) for x, y in points]
+        pts = [(x if type(x) is int else _rational(x), y if type(y) is int else _rational(y))
+               for x, y in points]
         creases = tuple((_index(i, "crease"), _index(j, "crease")) for i, j in creases)
         boundary = tuple(_index(i, "border") for i in boundary)
         split = frozenset(_index(i, "split tag") for i in split_vertices)
@@ -387,7 +409,23 @@ class CreasePattern:
         return len(self._incidence[v])
 
     def interior_vertex_ids(self) -> list[int]:
+        return list(self._interior)
+
+    @functools.cached_property
+    def _interior(self) -> list[int]:
         return [i for i, vert in enumerate(self.vertices) if not vert.on_boundary]
+
+    @functools.cached_property
+    def _border_crease(self) -> Optional[int]:
+        """The first crease from border to border, or None once normalized."""
+        flags = self._geometry[1]
+        return next((ci for ci, (i, j) in enumerate(self.creases) if flags[i] and flags[j]), None)
+
+    @functools.cached_property
+    def _reflections(self) -> list[tuple[int, int, int, int, int]]:
+        """Each crease's `_reflection_entries` in the integer-scaled plane."""
+        ipts = self._geometry[0]
+        return [_reflection_entries(ipts[i], ipts[j]) for i, j in self.creases]
 
 
 def _rational(c: Rational) -> Fraction:
@@ -424,22 +462,19 @@ def _border_edges(
     return [(pts[boundary[i]], pts[boundary[(i + 1) % m]]) for i in range(m)]
 
 
-def _box(a: Point, b: Point) -> tuple:
-    """The bounding box (x0, y0, x1, y1) of the segment ab."""
-    return min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1])
-
-
 def _boxed(edges: Sequence[tuple[Point, Point]]) -> list[tuple]:
-    """Each edge ab as (x0, y0, x1, y1, a, b): its box, then its ends."""
-    return [_box(a, b) + (a, b) for a, b in edges]
+    """Each edge ab as (x0, y0, x1, y1, a, b): its bounding box, then its ends."""
+    return [(min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]), a, b)
+            for a, b in edges]
 
 
 def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[list, list, int]:
     """The points scaled to integers, which of them lie on the border, and the
     scale. The scale, twice the LCM of all denominators, is positive, so every
     predicate keeps its value, and even, so crease midpoints stay integral."""
-    scale = 2 * math.lcm(*(c.denominator for pt in pts for c in pt))
-    ipts = [tuple(c.numerator * (scale // c.denominator) for c in pt) for pt in pts]
+    scale = 2 * math.lcm(*[x.denominator for x, _ in pts], *[y.denominator for _, y in pts])
+    ipts = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in pts]
     bboxes = _boxed(_border_edges(ipts, boundary))
     flags = [any(x0 <= q[0] <= x1 and y0 <= q[1] <= y1 and _on_segment(q, a, b)
                  for x0, y0, x1, y1, a, b in bboxes) for q in ipts]
@@ -492,23 +527,31 @@ def _validate_pattern(p: CreasePattern) -> None:
         if not flags[idx] and not _point_in_polygon(pts[idx], bpoly):
             raise StructuralError("vertex %d lies outside the paper" % idx)
 
-    # creases: valid indices, positive length, no duplicates
-    seen = set()
-    for ci, (i, j) in enumerate(p.creases):
-        if not (0 <= i < n and 0 <= j < n):
-            raise StructuralError("crease %d has a dangling endpoint" % ci)
-        if i == j:
-            raise StructuralError("crease %d is a self-loop" % ci)
-        key = frozenset((i, j))
-        if key in seen:
-            raise StructuralError("crease %d duplicates another crease" % ci)
-        seen.add(key)
+    # creases: valid indices, positive length, no duplicates, tested at C
+    # speed first: a self-loop's end pair is a one-element set
+    used, pairs = set(chain.from_iterable(p.creases)), set(map(frozenset, p.creases))
+    if not used <= set(range(n)) or len(pairs) < len(p.creases) or 1 in map(len, pairs):
+        seen = set()
+        for ci, (i, j) in enumerate(p.creases):
+            if not (0 <= i < n and 0 <= j < n):
+                raise StructuralError("crease %d has a dangling endpoint" % ci)
+            if i == j:
+                raise StructuralError("crease %d is a self-loop" % ci)
+            key = frozenset((i, j))
+            if key in seen:
+                raise StructuralError("crease %d duplicates another crease" % ci)
+            seen.add(key)
 
     # The pairwise checks below visit only pairs whose bounding boxes meet,
     # found by sorting and sweeping, and decide those with the exact
     # predicates. Each reports its first failure in id order: the lowest
     # crease, then the lowest vertex or crease with it.
-    boxes = [_box(pts[i], pts[j]) for i, j in p.creases]
+    boxes = []
+    for i, j in p.creases:
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+        y0, y1 = (ay, by) if ay <= by else (by, ay)
+        boxes.append((x0, y0, x1, y1))
 
     # no vertex may sit inside a crease: with the vertices sorted by point,
     # those in a crease's box lie between its lower and upper corners, among
@@ -562,7 +605,6 @@ def _validate_pattern(p: CreasePattern) -> None:
             raise PlanarityError("crease %d lies outside the paper" % ci)
 
     # every interior vertex must carry at least one crease
-    used = {i for crease in p.creases for i in crease}
     for idx, vert in enumerate(p.vertices):
         if not vert.on_boundary and idx not in used:
             raise StructuralError("isolated interior vertex %d" % idx)
@@ -583,9 +625,9 @@ def normalize_pattern(p: CreasePattern) -> CreasePattern:
     integer geometry of ``p``, extended by the midpoints, which are integers
     because the scale is even.
     """
-    ipts, flags, scale = p._geometry
-    if not any(flags[i] and flags[j] for i, j in p.creases):
+    if p._border_crease is None:
         return p
+    ipts, flags, scale = p._geometry
     ipts, flags, vertices = list(ipts), list(flags), list(p.vertices)
     creases: list[tuple[int, int]] = []
     labels: list[MVLabel] = []
@@ -608,6 +650,7 @@ def normalize_pattern(p: CreasePattern) -> CreasePattern:
         assignment=MVAssignment(tuple(labels)) if p.assignment is not None else None,
         split_vertices=p.split_vertices | set(range(len(p.vertices), len(vertices))),
         _geometry=(ipts, flags, scale),
+        _border_crease=None,
     )
 
 
@@ -700,20 +743,23 @@ def vertex_star(p: CreasePattern, v: int) -> AngleSequence:
     from +x. Closure needs no star: `pattern.reflection_trace` decides it
     exactly at every vertex.
     """
-    return _star(v, _ccw_directions(p, v))
+    directions = _ccw_directions(p, v)
+    sectors = _star_degrees(directions)
+    if sectors is None:
+        ci = next(ci for ci, d in directions if _direction_degrees_exact(d) is None)
+        raise ExactnessError("crease %d at vertex %d is not at a multiple of 45 degrees" % (ci, v))
+    return AngleSequence(sectors, 1)
 
 
-def _star(v: int, directions: list[tuple[int, tuple[int, int]]]) -> AngleSequence:
-    """`vertex_star` of v from its creases as `_ccw_directions` lists them."""
+def _star_degrees(directions: list[tuple[int, tuple[int, int]]]) -> Optional[list[int]]:
+    """The sectors between the creases as `_ccw_directions` lists them, in
+    whole degrees, or None when a crease runs at no multiple of 45 degrees."""
     if len(directions) == 1:
-        return AngleSequence((360,), 1)
+        return [360]
     # counterclockwise from +x is the order of the degree measures
     thetas = [_direction_degrees_exact(d) for _, d in directions]
     if None in thetas:
-        raise ExactnessError(
-            "crease %d at vertex %d is not at a multiple of 45 degrees"
-            % (directions[thetas.index(None)][0], v)
-        )
+        return None
     sectors = [b - a for a, b in zip(thetas, thetas[1:])]
     sectors.append(360 - thetas[-1] + thetas[0])
-    return AngleSequence(sectors, 1)
+    return sectors

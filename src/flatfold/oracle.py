@@ -463,9 +463,11 @@ def run_restricted_valid(v: AngleSequence, run: RunCondition, labels: Labels) ->
     The two sectors flanking the run become free flaps attached at the
     outermost folded creases; being strictly wider than the run angle they
     span the whole folded stack, and the unfolded cone beyond them bulges
-    away from the flat layers, so it imposes no ordering of its own.
+    away from the flat layers, so it imposes no ordering of its own. The
+    labels cover the whole star or just the run's creases, as
+    `RunCondition.run_labels` reads them.
     """
-    return _stacking(_restricted_net(v, run), labels) is not None
+    return _stacking(_restricted_net(v, run), run.run_labels(labels)) is not None
 
 
 def _restricted_net(v: AngleSequence, run: RunCondition) -> LayerModel:

@@ -13,14 +13,13 @@ tuple of the crease ids it crosses, in order. Around a flat vertex the
 composition of the reflections across its creases is the identity exactly
 when the alternating sector sum is zero (Justin), so the composition
 decides closure at every vertex, whether or not its sector angles can be
-written down.
+written down. Each crease's reflection is built once per pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .core import (
@@ -30,9 +29,10 @@ from .core import (
     vertex_star,  # noqa: F401 -- callers read it from this module
     _ccw_directions,
     _orient,
-    _star,
+    _reflection_entries,
+    _star_degrees,
 )
-from .errors import ExactnessError, LocalMaekawaError, StructuralError
+from .errors import LocalMaekawaError, StructuralError
 
 
 @dataclass(frozen=True)
@@ -84,35 +84,13 @@ class AffineMap:
                 and self.b == self.c == self.tx == self.ty == 0)
 
 
-def _reflection_entries(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int, int, int]:
-    """``(a, b, tx, ty, n)``: the reflection across the line through the
-    integer points ``p`` and ``q`` is x -> ((a, b; b, -a) x + (tx, ty)) / n.
-
-    For the line's primitive direction (dx, dy), n = dx^2 + dy^2,
-    a = dx^2 - dy^2 and b = 2 dx dy, with no division; ``p`` is fixed.
-    """
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    if dx == dy == 0:
-        raise StructuralError("cannot reflect across a zero-length crease")
-    g = gcd(dx, dy)  # keeps n, and every product, small
-    dx, dy = dx // g, dy // g
-    n, a, b = dx * dx + dy * dy, dx * dx - dy * dy, 2 * dx * dy
-    return a, b, n * p[0] - (a * p[0] + b * p[1]), n * p[1] - (b * p[0] - a * p[1]), n
-
-
-def _crease_line(p: CreasePattern, crease: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """A crease's two ends in the pattern's plane scaled to integers."""
-    if not 0 <= crease < len(p.creases):
-        raise StructuralError("crease %d out of range" % crease)
-    i, j = p.creases[crease]
-    ipts = p._geometry[0]
-    return ipts[i], ipts[j]
-
-
 def _scaled_reflection(p: CreasePattern, crease: int) -> AffineMap:
     """The reflection across a crease's line, as a map of the pattern's plane
     scaled to integers."""
-    return AffineMap.reflection_across(*_crease_line(p, crease))
+    if not 0 <= crease < len(p.creases):
+        raise StructuralError("crease %d out of range" % crease)
+    a, b, tx, ty, n = p._reflections[crease]
+    return AffineMap(a, b, b, -a, tx, ty, n)
 
 
 def _unscaled(p: CreasePattern, m: AffineMap) -> AffineMap:
@@ -137,7 +115,8 @@ class TraceResult:
 
     @property
     def failure_reason(self) -> Optional[str]:
-        if self.map.det < 0:  # k reflections have determinant (-1)^k
+        m = self.map  # k reflections have determinant (-1)^k, over den^2 > 0
+        if m.a * m.d - m.b * m.c < 0:
             return "odd crossing count: the composition reverses orientation"
         return None if self.is_identity else "composition is not the identity"
 
@@ -156,9 +135,13 @@ def reflection_trace(p: CreasePattern, crease_ids: Sequence[int]) -> TraceResult
     # The product identity . R1 . R2 ... in the scaled plane, one factor s
     # instead of one per crease, on plain ints: what folding
     # `AffineMap.compose` over `_scaled_reflection` gives, then `_unscaled`.
+    # Each crease's reflection is built once per pattern (`_reflections`).
+    reflections = p._reflections
     ma, mb, mc, md, mtx, mty, den = 1, 0, 0, 1, 0, 0, 1
     for cid in crease_ids:
-        a, b, tx, ty, n = _reflection_entries(*_crease_line(p, cid))
+        if not 0 <= cid < len(reflections):
+            raise StructuralError("crease %d out of range" % cid)
+        a, b, tx, ty, n = reflections[cid]
         ma, mb, mc, md, mtx, mty, den = (
             ma * a + mb * b, ma * b - mb * a, mc * a + md * b, mc * b - md * a,
             ma * tx + mb * ty + n * mtx, mc * tx + md * ty + n * mty, den * n,
@@ -205,25 +188,22 @@ def local_kawasaki_all(p: CreasePattern) -> dict[int, VertexCheck]:
     """
     _require_normalized(p)
     report: dict[int, VertexCheck] = {}
-    for v in p.interior_vertex_ids():
+    for v in p._interior:
         # one sorted read of the directions gives the curve and the names
         directions = _ccw_directions(p, v)
         curve = tuple(ci for ci, _d in directions)
         trace = reflection_trace(p, curve)
-        try:
-            angles = tuple(_star(v, directions).as_strings())
-        except ExactnessError:
-            angles = None
+        sectors = _star_degrees(directions)
+        angles = None if sectors is None else tuple(map(str, sectors))
         report[v] = VertexCheck(angles, curve, trace)
     return report
 
 
 def _require_normalized(p: CreasePattern) -> None:
-    for ci, (i, j) in enumerate(p.creases):
-        if p.vertices[i].on_boundary and p.vertices[j].on_boundary:
-            raise StructuralError(
-                "crease %d joins border to border; normalize the pattern first" % ci
-            )
+    if p._border_crease is not None:
+        raise StructuralError(
+            "crease %d joins border to border; normalize the pattern first" % p._border_crease
+        )
 
 
 def _is_split_style(p: CreasePattern, v: int) -> bool:
@@ -259,7 +239,7 @@ def generalized_maekawa(p: CreasePattern) -> tuple[PatternTally, bool]:
         raise ValueError("the pattern carries no mountain-valley assignment")
 
     violations = []
-    interior = p.interior_vertex_ids()
+    interior = p._interior
     local_tally = {}
     for v in interior:
         t = sum(

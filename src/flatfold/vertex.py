@@ -104,6 +104,17 @@ class RunCondition(NamedTuple):
             raise ValueError("restricted folding needs strictly larger flanking sectors")
         return left, val, right
 
+    def run_labels(self, mv: Labels) -> MVAssignment:
+        """The labels of the run's k + 2 creases from ``mv``, which labels them
+        in order or labels the whole star. Reads labels and decides nothing."""
+        mv = _as_assignment(mv)
+        if len(mv) == self.k + 2:
+            return mv
+        if len(mv) != self.m:
+            raise ValueError("assignment must label all %d creases or the run's %d"
+                             % (self.m, self.k + 2))
+        return MVAssignment(tuple(mv[c] for c in self.creases))
+
 
 def _runs(vals: Sequence[int]) -> list[RunCondition]:
     """The maximal equal runs of ``vals`` whose cyclic neighbours are
@@ -136,15 +147,7 @@ def run_validity(v: AngleSequence, run: RunCondition, mv: Labels) -> bool:
     of the paper acting as an unfolded cone.
     """
     run.flanks(v.ints)
-    mv = _as_assignment(mv)
-    if len(mv) == len(v):
-        mv = MVAssignment(tuple(mv[c] for c in run.creases))
-    elif len(mv) != run.k + 2:
-        raise ValueError(
-            "assignment must label all %d creases or the run's %d"
-            % (len(v), run.k + 2)
-        )
-    return mv.tally in run.allowed_tallies
+    return run.run_labels(mv).tally in run.allowed_tallies
 
 
 def crimp_validity(v: AngleSequence, mv: Labels) -> bool:

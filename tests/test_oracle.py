@@ -302,6 +302,35 @@ class TestRunRestricted:
         with pytest.raises(ValueError, match=message):
             run_restricted_valid(v, run, labels)
 
+    @pytest.mark.parametrize("v", [
+        AngleSequence((90, 60, 60, 90, 30, 30)),
+        AngleSequence((80, 50, 50, 80, 20, 20)),  # a 300-degree cone
+    ], ids=["flat", "cone"])
+    def test_both_deciders_read_both_label_shapes(self, v):
+        # `RunCondition.run_labels` reads the labels for both: the whole star's
+        # or the run's k + 2, and anything else gets one message
+        runs = find_runs(v)
+        assert len(runs) == 2
+        for run in runs:
+            for word in map("".join, itertools.product("MV", repeat=len(v))):
+                part = "".join(word[c] for c in run.creases)
+                answers = {decide(v, run, labels)
+                           for decide in (run_validity, run_restricted_valid)
+                           for labels in (word, part)}
+                assert len(answers) == 1, (run, word)
+            message = "^assignment must label all 6 creases or the run's 3$"
+            for decide in (run_validity, run_restricted_valid):
+                for labels in ("MM", "MVMV", "MVMVMVM"):
+                    with pytest.raises(ValueError, match=message):
+                        decide(v, run, labels)
+
+    def test_a_whole_star_labeling_gets_one_answer(self):
+        # the labels of all four creases, of which the run holds the last three
+        v = AngleSequence((100, 80, 80, 100))
+        (run,) = find_runs(v)
+        assert run_validity(v, run, "MMVM") is run_restricted_valid(v, run, "MMVM") is True
+        assert run_validity(v, run, "MMMM") is run_restricted_valid(v, run, "MMMM") is False
+
     def test_net_on_mirror_vertex(self):
         # flap 100 from -100, the two 80s back and forth, then flap 100
         (run,) = find_runs(MIRROR)

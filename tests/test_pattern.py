@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatfold.cli import main
+from flatfold.cli import main, parse_pattern
 from flatfold import core
 from flatfold.core import (
     AngleSequence,
@@ -423,6 +423,94 @@ def test_pattern_check_traces_each_vertex_once(tmp_path, monkeypatch, capsys):
     assert main(["pattern", "check", str(path), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(calls) == len(report["reflection_traces"]) == 49
+
+
+def test_pattern_check_builds_each_reflection_once(tmp_path, monkeypatch, capsys):
+    # an interior crease is crossed by the curves around both of its ends,
+    # but its reflection is built once, when the pattern's table is
+    q = rotated(grid_pattern(random.Random(3), 8))  # 115 creases, 49 interior vertices
+    path = tmp_path / "rotated-grid.json"
+    path.write_text(json.dumps(_pattern_doc(q, [[str(v.x), str(v.y)] for v in q.vertices])))
+    built = []
+    real = core._reflection_entries
+    monkeypatch.setattr(core, "_reflection_entries", lambda a, b: built.append(a) or real(a, b))
+    assert main(["pattern", "check", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    crossings = sum(len(t["creases_crossed"]) for t in report["reflection_traces"].values())
+    assert crossings > len(q.creases) >= len(built) > 0
+
+
+def _pattern_doc(p, vertices):
+    doc = {"vertices": vertices, "creases": [list(c) for c in p.creases],
+           "boundary": list(p.boundary)}
+    if p.assignment is not None:
+        doc["assignment"] = [label.value for label in p.assignment]
+    return doc
+
+
+def _integer_points(p):
+    """The points of ``p`` scaled by the LCM of their denominators, as ints: a
+    similarity, so every verdict of ``pattern check`` stays as it is."""
+    s = math.lcm(*(Fraction(c).denominator for v in p.vertices for c in (v.x, v.y)))
+    return [(int(v.x * s), int(v.y * s)) for v in p.vertices]
+
+
+def test_coordinate_spellings_give_one_pattern_and_one_report(tmp_path, capsys):
+    # an integral coordinate stays an int, a "p/q" string or a decimal
+    # becomes a Fraction: the three spellings of one integer point give one
+    # geometry, equal vertices and the same report, byte for byte
+    rng = random.Random(27)
+    patterns = []
+    for i in range(4):
+        lattice = (grid_pattern(rng, rng.randint(2, 5)),
+                   chain_pattern(rng, rng.randint(1, 4), with_split=(i % 2 == 0)))
+        patterns += lattice + tuple(rotated(p) for p in lattice) + (mixed_star(rng),)
+    for n, p in enumerate(patterns):
+        p = p.with_assignment(random_local_parity_assignment(rng, p) or "M" * len(p.creases))
+        points = _integer_points(p)
+        denominators = [rng.randint(1, 9) for _ in points]
+        spellings = {
+            "int": [[x, y] for x, y in points],
+            "p/q": [["%d/%d" % (x * q, q), "%d/%d" % (y * q, q)]
+                    for (x, y), q in zip(points, denominators)],
+            "decimal": [[float(x), float(y)] for x, y in points],  # written as 3.0
+        }
+        parsed, reports = {}, {}
+        for name, vertices in spellings.items():
+            path = tmp_path / ("pattern-%d-%s.json" % (n, name.replace("/", "")))
+            path.write_text(json.dumps(_pattern_doc(p, vertices)))
+            parsed[name] = parse_pattern(str(path))
+            for fmt in ("json", "text"):
+                assert main(["pattern", "check", str(path), "--format", fmt]) == 0
+                reports[name, fmt] = capsys.readouterr().out
+        one, other, third = parsed.values()
+        assert one._geometry == other._geometry == third._geometry
+        assert one.vertices == other.vertices == third.vertices
+        assert {type(v.x) for v in one.vertices[:len(points)]} == {int}
+        assert {type(v.x) for v in other.vertices} == {Fraction}
+        for fmt in ("json", "text"):
+            assert reports["int", fmt] == reports["p/q", fmt] == reports["decimal", fmt]
+
+
+def test_pattern_check_of_an_integer_file_makes_no_fraction(tmp_path, monkeypatch, capsys):
+    # on a 45-degree lattice with no crease from border to border, every
+    # coordinate, direction key, sector and reflection is an int
+    p = TestGeneralizedMaekawa.unit_grid(6, 5, diagonals=True)
+    p = p.with_assignment(random_local_parity_assignment(random.Random(11), p))
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_pattern_doc(p, _integer_points(p))))
+    made = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *a, **k: made.append(a) or real(cls, *a, **k)))
+    assert Fraction(1, 2) and made == [(1, 2)]
+    made.clear()
+    for fmt in ("text", "json"):
+        assert main(["pattern", "check", str(path), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["split_vertices"] == [] and report["generalized_maekawa"]["holds"]
+    assert made == []
 
 
 # --------------------------------------------------------------------------
