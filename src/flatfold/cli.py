@@ -70,49 +70,62 @@ _NECESSARY_ONLY = (
 _MAX_TOKEN_CHARS = 100
 
 
-def _angle_pair(tok: str) -> tuple[int, int]:
-    """``Fraction(tok)`` as its numerator and denominator, without building
-    it for the plain forms: an integer, ``p/q`` and ``a.b``, each part made
-    of ASCII digits only."""
-    if tok.isascii():
-        if tok.isdigit():
-            return int(tok), 1
-        for sep in "/.":
-            a, found, b = tok.partition(sep)
-            if found and a.isdigit() and b.isdigit():
-                p, q = (int(a), int(b)) if sep == "/" else (int(a + b), 10 ** len(b))
-                if not q:  # before the gcd, which is 5 for 5/0
-                    raise ZeroDivisionError(tok)
-                g = math.gcd(p, q)
-                return p // g, q // g
-    value = Fraction(tok)
-    return value.numerator, value.denominator
+# An angle list whose every token is plain: ASCII digits, with at most one
+# "/" or "." between two of them. `parse_angles` tests a whole list at C
+# speed and reads a plain one without `Fraction`.
+_PLAIN_ANGLES = re.compile(r"\s*[0-9]+(?:[./][0-9]+)?(?:\s+[0-9]+(?:[./][0-9]+)?)*\s*")
 
 
 def parse_angles(text: str) -> AngleSequence:
-    """Comma/space-separated angles: integers, finite decimals, or p/q."""
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+    """Comma/space-separated angles: integers, finite decimals, or p/q.
+
+    A list of plain tokens (`_PLAIN_ANGLES`), none longer than
+    `_MAX_TOKEN_CHARS`, is read with `partition` and `int`, and with no gcd
+    per token: `AngleSequence` reduces the star once. Any other list goes token
+    by token through `Fraction`, which also reads ``+90``, ``.5``, ``1_0`` and
+    non-ASCII digits, and is refused at its first bad token.
+    """
+    spaced = text.replace(",", " ")
+    tokens = spaced.split()
     if not tokens:
         raise ParseError("no angles given")
     nums, dens = [], []
-    for i, tok in enumerate(tokens):
-        if len(tok) > _MAX_TOKEN_CHARS:
-            raise ParseError(
-                "angle at position %d is longer than %d characters"
-                % (i + 1, _MAX_TOKEN_CHARS)
-            )
-        if "e" in tok.lower():
-            raise ParseError(
-                "exponent notation is not accepted: %r at position %d" % (tok, i + 1)
-            )
-        try:
-            p, q = _angle_pair(tok)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("malformed angle %r at position %d" % (tok, i + 1)) from None
-        if p <= 0:
-            raise ParseError("non-positive angle %r at position %d" % (tok, i + 1))
-        nums.append(p)
-        dens.append(q)
+    if max(map(len, tokens)) <= _MAX_TOKEN_CHARS and _PLAIN_ANGLES.fullmatch(spaced):
+        for tok in tokens:
+            a, slash, b = tok.partition("/")
+            if slash:
+                nums.append(int(a))
+                dens.append(int(b))
+            elif "." in a:
+                a, _, b = a.partition(".")
+                nums.append(int(a + b))
+                dens.append(10 ** len(b))
+            else:
+                nums.append(int(a))
+                dens.append(1)
+        if 0 in nums or 0 in dens:  # 0/0 and 5/0 are malformed, 0/5 and 0.0 non-positive
+            i = next(i for i, pair in enumerate(zip(nums, dens)) if 0 in pair)
+            raise ParseError("%s angle %r at position %d"
+                             % ("non-positive" if dens[i] else "malformed", tokens[i], i + 1))
+    else:
+        for i, tok in enumerate(tokens):
+            if len(tok) > _MAX_TOKEN_CHARS:
+                raise ParseError(
+                    "angle at position %d is longer than %d characters"
+                    % (i + 1, _MAX_TOKEN_CHARS)
+                )
+            if "e" in tok.lower():
+                raise ParseError(
+                    "exponent notation is not accepted: %r at position %d" % (tok, i + 1)
+                )
+            try:
+                value = Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError("malformed angle %r at position %d" % (tok, i + 1)) from None
+            if value <= 0:
+                raise ParseError("non-positive angle %r at position %d" % (tok, i + 1))
+            nums.append(value.numerator)
+            dens.append(value.denominator)
     den = math.lcm(*dens)
     v = AngleSequence(map(operator.mul, nums, map(den.__floordiv__, dens)), den)
     # Refuse a star whose exact results may not print. A count is below
@@ -329,48 +342,59 @@ def _json(value: Any) -> str:
     escaped by the encoder's own `encode_basestring_ascii`, except in a list
     of plain strings that it leaves as they are (`_UNESCAPED`), such as a
     residual: that list is joined whole with its quotes in the separator
-    (`json` encodes a subclass of str there by its data). Floats, and other
-    subclasses of str and int, go to `json.dumps`.
+    (`json` encodes a subclass of str there by its data). A list of ints
+    only, not bools, is joined whole too, and a dict value that is a str or
+    an int is rendered in the dict's own loop. Floats, and other subclasses
+    of str and int, go to `json.dumps`.
     """
-    escape = json.encoder.encode_basestring_ascii
+    return _render(value, "\n")
 
-    def render(value: Any, indent: str) -> str:
-        if type(value) is str:
-            return escape(value)
-        if type(value) is int:  # not bool
-            return int.__repr__(value)
-        if value is None:
-            return "null"
-        if type(value) is bool:
-            return "true" if value else "false"
-        inner = indent + "  "
-        parts = []
-        if isinstance(value, dict):
-            for key in sorted(value):
-                parts += (",", inner, escape(key), ": ", render(value[key], inner))
-            brackets = "{}"
-        elif isinstance(value, (list, tuple)):
-            try:  # a list of strings, or TypeError at its first other item
-                whole = "".join(value)
-            except TypeError:
-                items = (render(item, inner) for item in value)
-            else:
-                if value and whole.isascii() and not whole.encode().translate(None, _UNESCAPED):
-                    quoted = ('",' + inner + '"').join(value)
-                    return "".join(("[", inner, '"', quoted, '"', indent, "]"))
-                items = map(escape, value)
-            for item in items:
-                parts += (",", inner, item)
-            brackets = "[]"
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _render(value: Any, indent: str) -> str:
+    """`_json` of ``value`` at the nesting of ``indent``: a module function
+    rather than a closure, so that rendering leaves no reference cycle."""
+    if type(value) is str:
+        return _escape(value)
+    if type(value) is int:  # not bool
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "true" if value else "false"
+    inner = indent + "  "
+    parts = []
+    if isinstance(value, dict):
+        for key in sorted(value):
+            item = value[key]
+            kind = type(item)
+            parts += (",", inner, _escape(key), ": ", _escape(item) if kind is str
+                      else int.__repr__(item) if kind is int else _render(item, inner))
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        try:  # a list of strings, or TypeError at its first other item
+            whole = "".join(value)
+        except TypeError:
+            if set(map(type, value)) == {int}:  # a bool is not an int here
+                return "".join(("[", inner, ("," + inner).join(map(int.__repr__, value)), indent, "]"))
+            items = (_render(item, inner) for item in value)
         else:
-            return json.dumps(value)
-        if not parts:
-            return brackets
-        parts[0] = brackets[0]
-        parts += (indent, brackets[1])
-        return "".join(parts)
-
-    return render(value, "\n")
+            if value and whole.isascii() and not whole.encode().translate(None, _UNESCAPED):
+                quoted = ('",' + inner + '"').join(value)
+                return "".join(("[", inner, '"', quoted, '"', indent, "]"))
+            items = map(_escape, value)
+        for item in items:
+            parts += (",", inner, item)
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not parts:
+        return brackets
+    parts[0] = brackets[0]
+    parts += (indent, brackets[1])
+    return "".join(parts)
 
 
 def _scalar(value: Any) -> str:

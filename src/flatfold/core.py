@@ -63,7 +63,7 @@ class AngleSequence:
             n = next(n for n in ints if n <= 0)
             raise ValueError("sector angles must be positive, got %s" % _sector_name(n, den))
         g = math.gcd(den, *ints)
-        object.__setattr__(self, "ints", tuple(n // g for n in ints) if g > 1 else ints)
+        object.__setattr__(self, "ints", tuple(map(g.__rfloordiv__, ints)) if g > 1 else ints)
         object.__setattr__(self, "den", den // g)
 
     def __len__(self) -> int:
@@ -475,9 +475,15 @@ def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[li
     scale = 2 * math.lcm(*[x.denominator for x, _ in pts], *[y.denominator for _, y in pts])
     ipts = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
             for x, y in pts]
-    bboxes = _boxed(_border_edges(ipts, boundary))
-    flags = [any(x0 <= q[0] <= x1 and y0 <= q[1] <= y1 and _on_segment(q, a, b)
-                 for x0, y0, x1, y1, a, b in bboxes) for q in ipts]
+    # with the points sorted, those in a border edge's box lie between its
+    # lower and upper corners, as in `_validate_pattern`'s vertex sweep
+    order = sorted(range(len(ipts)), key=ipts.__getitem__)
+    ordered = [ipts[k] for k in order]
+    flags = [False] * len(ipts)
+    for x0, y0, x1, y1, a, b in _boxed(_border_edges(ipts, boundary)):
+        for k in order[bisect_left(ordered, (x0, y0)):bisect_right(ordered, (x1, y1))]:
+            if y0 <= ipts[k][1] <= y1 and _on_segment(ipts[k], a, b):
+                flags[k] = True
     return ipts, flags, scale
 
 

@@ -399,6 +399,7 @@ def _search(
         return False
 
     rec(1, 0)
+    del rec, sweep  # they refer to each other: leave no cycle for the collector
     return found
 
 

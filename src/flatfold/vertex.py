@@ -198,7 +198,9 @@ def bounds(v: AngleSequence) -> tuple[int, int]:
 def _default_pick(seq: tuple[int, ...]) -> RunCondition:
     """The run of smallest sector, then smallest start: the order every trace
     follows. Every maximal run of the smallest sector has strictly larger
-    neighbours, so the first of them is that run; C-level scans find it."""
+    neighbours, so the first of them is that run; C-level scans find it. A
+    run of one sector, every run of a generic star, ends at the next index,
+    which is read before any scan for the run's end is built."""
     m = len(seq)
     lo = min(seq)
     start = seq.index(lo)
@@ -206,7 +208,9 @@ def _default_pick(seq: tuple[int, ...]) -> RunCondition:
         # index 0 lies in a run that wraps past the end and so starts last:
         # the first run starts after it
         start = seq.index(lo, _first_other(seq, lo, 0))
-    end = _first_other(seq, lo, start)
+    end = start + 1
+    if end < m and seq[end] == lo:
+        end = _first_other(seq, lo, end)
     if end == m:
         end += _first_other(seq, lo, 0)
     return RunCondition(start, end - start - 1, m)
@@ -249,9 +253,11 @@ def _reductions(ints: tuple[int, ...], pick) -> Iterator[tuple[int, int, tuple[i
     reduce of a star whose sectors are not all equal, sectors ``start ..
     start + k``. The last residual, or the star itself if there is no step,
     has all sectors equal. Each residual is one `_splice` of the one before.
+    Its first two sectors, the head just spliced in and its neighbour, are
+    compared before all are counted: they almost never agree.
     """
     cur = ints
-    while cur.count(cur[0]) < len(cur):
+    while cur[0] != cur[1] or cur.count(cur[0]) < len(cur):
         start, k, _ = pick(cur)
         head = cur[start - 1]
         if k % 2 == 0:  # an odd number of sectors: merge the two neighbours

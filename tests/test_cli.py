@@ -1,3 +1,5 @@
+import enum
+import gc
 import json
 import os
 import re
@@ -5,7 +7,6 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,49 @@ from flatfold.core import AngleSequence, CreasePattern, MVLabel, normalize_patte
 from flatfold.errors import ParseError, PlanarityError, SchemaError
 from flatfold.pattern import curve_around_vertex
 from reference_parser import build_parser
+
+
+# The 29 characters that `str.split` and the regex class ``\s`` both split on
+_WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+_SEPARATORS = st.lists(st.sampled_from(_WHITESPACE + [","]), min_size=1, max_size=3).map("".join)
+_ANGLE_TOKENS = st.one_of(
+    st.from_regex(r"0{0,3}[0-9]{1,4}", fullmatch=True),  # leading zeros
+    st.from_regex(r"[0-9]{1,4}/[0-9]{1,4}", fullmatch=True),  # unreduced p/q
+    st.from_regex(r"[0-9]{1,3}\.[0-9]{0,2}0{0,3}", fullmatch=True),  # trailing zeros
+    st.sampled_from(["+90", "5.", ".5", "1_0", "\u0663", "\u00b2", "1e5", "2.5E-3", "0",
+                     "5/0", "0/5", "1//2", "1/2/3", "1.2.3", "1" * 100, "1" * 101,
+                     "0." + "0" * 97 + "1", "-90"]),
+)
+
+
+def reference_parse_angles(text):
+    """The angle list as `parse_angles` read it when every token went through
+    ``Fraction(tok)``: the same rules, in the same order, token by token."""
+    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+    if not tokens:
+        raise ParseError("no angles given")
+    values = []
+    for i, tok in enumerate(tokens):
+        if len(tok) > 100:
+            raise ParseError("angle at position %d is longer than 100 characters" % (i + 1))
+        if "e" in tok.lower():
+            raise ParseError("exponent notation is not accepted: %r at position %d" % (tok, i + 1))
+        try:
+            value = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("malformed angle %r at position %d" % (tok, i + 1)) from None
+        if value <= 0:
+            raise ParseError("non-positive angle %r at position %d" % (tok, i + 1))
+        values.append(value)
+    v = AngleSequence(values)
+    bits = max(len(v) + 1, v.den.bit_length(), sum(v.ints).bit_length())
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and bits * 30103 // 100000 + 1 > limit:
+        raise ParseError(
+            "exact results for this star could exceed %d decimal digits, the "
+            "interpreter's limit for printing an integer" % limit
+        )
+    return v
 
 
 class TestParseAngles:
@@ -76,6 +120,8 @@ class TestParseAngles:
         st.from_regex(r"[+-]?[0-9_]{0,4}[./]?[0-9_]{0,4}", fullmatch=True),
         st.text(alphabet="0123456789./+-_ \u00a0\u0663\u00b2", max_size=12),
         st.text(max_size=12),
+        st.lists(st.tuples(_ANGLE_TOKENS, _SEPARATORS), min_size=1, max_size=6).map(
+            lambda pairs: "".join(tok + sep for tok, sep in pairs)),
     ))
     @example("22.5 1/3 0.125 007")
     @example("+5")
@@ -87,22 +133,36 @@ class TestParseAngles:
     @example("0/5")
     @example("\u0663")  # ARABIC-INDIC DIGIT THREE
     @example("\u00b2")  # SUPERSCRIPT TWO
+    @example("90 1e5 0 270")  # the first bad token is named, whichever comes next
+    @example("0 1e5")
+    @example("1" * 100 + " 0/1")
+    @example("90 " + "1" * 101)
+    @example("1/" + "0" * 98 + "1 0")
+    @example("5/0 " + "1" * 101)
+    @example("1//2 90")
+    @example("90 1/2/3")
+    @example("1.2.3, 5")
+    @example("+90 .5 1_0 259.5")
+    @example("0, 5/0")
+    @example("2/4 180/2 0.50 90 179.50 90")
+    @example("90,\u3000,90\x1c90\x85,90")
     def test_parses_every_token_as_fraction_does(self, text):
-        # the plain forms skip Fraction's regex: the same angles, or the
-        # same message, as parsing every token with Fraction(tok)
-        def outcome():
+        # the plain lists skip Fraction: the same (ints, den), or the same
+        # message, as parsing every token with Fraction(tok)
+        def outcome(parse):
             try:
-                return parse_angles(text).angles
+                v = parse(text)
             except ParseError as exc:
                 return str(exc)
+            return v.ints, v.den
 
-        def fraction_pair(tok):
-            value = Fraction(tok)
-            return value.numerator, value.denominator
+        assert outcome(parse_angles) == outcome(reference_parse_angles)
 
-        fast = outcome()
-        with mock.patch.object(cli, "_angle_pair", fraction_pair):
-            assert fast == outcome()
+    def test_every_whitespace_separates(self):
+        text = "".join("%s90,%s" % (c, c) for c in _WHITESPACE) + "1/2 0.5"
+        v = parse_angles(text)
+        assert (v.ints, v.den) == ((180,) * len(_WHITESPACE) + (1, 1), 2)
+        assert v == reference_parse_angles(text)
 
 
 def write_pattern(tmp_path, doc, name="pattern.json"):
@@ -322,6 +382,11 @@ def test_text_lines_read_tuples_as_lists():
     assert cli._text_lines(value) == cli._text_lines(json.loads(json.dumps(value)))
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 class TestJsonRenderer:
     """`_json` is ``json.dumps(indent=2, sort_keys=True)``, byte for byte."""
 
@@ -347,6 +412,15 @@ class TestJsonRenderer:
     @example(())
     @example({"residual": (), "angles": ("90",), "trace": [()]})
     @example([("x", "y"), ["z"], ("w", 1)])
+    # a str or int value of a dict is rendered in place, and a list of ints
+    # only is joined whole; a bool, an IntEnum or a str beside them is not
+    @example({"a": 1, "b": "x", "c": True, "d": None, "e": 1.5})
+    @example([1, -(2**100), 0])
+    @example([1, True])
+    @example([True])
+    @example([1, "1"])
+    @example([_Level.LOW, _Level.HIGH])
+    @example({"k": _Level.HIGH})
     def test_matches_the_indenting_encoder(self, value):
         assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
 
@@ -870,6 +944,45 @@ class TestCommands:
         assert code == 2
         assert "FAIL" in out
         assert "invariant" in err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("count", "40,40,60,40,40,60,40,40"), 0),
+            (("analyze", "40,40,60,40,40,60,40,40"), 0),
+            (("check", "40,40,60,40,40,60,40,40", "--mv", "MMMVMVMV"), 0),
+            (("check", "40,40,60,40,40,60,40,40", "--mv", "MMMVMVMV", "--oracle"), 0),
+            (("enumerate", "40,40,60,40,40,60,40,40"), 0),
+            (("enumerate", "--fast", "40,40,60,40,40,60,40,40"), 0),
+            (("pattern", "check", "PATTERN"), 0),
+            (("selftest", "--per-size", "1"), 0),
+            (("count", "90 ninety 90 90"), 1),
+            (("count", "90 90 90"), 0),
+            (("enumerate", "90 90 90"), 0),
+            (("check", "90,90,90,90", "--mv", "MMV"), 1),
+            (("pattern", "check", "MISSING"), 1),
+        ],
+        ids=["count", "analyze", "check", "check-oracle", "enumerate", "enumerate-fast",
+             "pattern-check", "selftest", "parse-error", "odd-count", "odd-enumerate",
+             "label-count", "missing-file"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_leaves_no_cyclic_garbage(self, capsys, tmp_path, argv, code, fmt):
+        # every request's objects are freed by reference counting: none is
+        # left in a cycle for the collector
+        paths = {"PATTERN": write_pattern(tmp_path, VALID_DOC), "MISSING": str(tmp_path / "no.json")}
+        argv = [paths.get(a, a) for a in argv] + ["--format", fmt]
+        run_cli(capsys, *argv)  # first use fills caches and imports
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == code
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
 
 
 # tokens of the command lines that parse_argv and the reference parser must
