@@ -410,29 +410,17 @@ _NO_FOLDINGS = "no flat foldings: the closure condition fails"
 Result = tuple[dict, Optional[str]]
 
 
-class _SectorNames(dict):
-    """``names[n] == str(Fraction(n, den))``, each formatted on first use."""
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, n: int) -> str:
-        name = self[n] = _sector_name(n, self.den)
-        return name
-
-
-def _input_block(v: AngleSequence, names: _SectorNames) -> dict:
+def _input_block(v: AngleSequence) -> dict:
     """The star as reported: ``angles`` is the tuple of its sectors' names."""
     return {
-        "angles": tuple(map(names.__getitem__, v.ints)),
+        "angles": tuple(v.as_strings()),
         "creases": len(v),
-        "total": names[sum(v.ints)],
+        "total": _sector_name(sum(v.ints), v.den),
         "kind": v.kind,
     }
 
 
-def _count_block(v: AngleSequence, names: _SectorNames, sectors: tuple) -> Result:
+def _count_block(v: AngleSequence, sectors: tuple) -> Result:
     """The count of ``v``, whose sectors are named ``sectors``; each residual's
     names are spliced as its sectors were, so only its new head is named."""
     try:
@@ -441,7 +429,7 @@ def _count_block(v: AngleSequence, names: _SectorNames, sectors: tuple) -> Resul
         return None, _NO_FOLDINGS
     steps = []
     for start, length, factor, residual, _ in result.trace:
-        sectors = vxmod._splice(sectors, start, length - 1, names[residual[0]])
+        sectors = vxmod._splice(sectors, start, length - 1, _sector_name(residual[0], v.den))
         steps.append({"start": start, "length": length, "factor": factor, "residual": sectors})
     return (
         {
@@ -458,8 +446,7 @@ def cmd_count(args) -> Result:
     """``count``, and ``analyze``, which adds degree parity, closure and bounds."""
     v = parse_angles(args.angles)
     even = len(v) % 2 == 0
-    names = _SectorNames(v.den)
-    report: dict[str, Any] = {"command": args.command, "input": _input_block(v, names)}
+    report: dict[str, Any] = {"command": args.command, "input": _input_block(v)}
     if args.command == "analyze":
         report["degree_even"] = even
         report["kawasaki"] = vxmod.kawasaki(v)
@@ -468,7 +455,7 @@ def cmd_count(args) -> Result:
             lo, hi = vxmod.bounds(v)
             report["bounds"] = {"lower": lo, "upper": hi}
     if even:
-        report["count"], report["reason"] = _count_block(v, names, report["input"]["angles"])
+        report["count"], report["reason"] = _count_block(v, report["input"]["angles"])
     else:
         report["count"] = None
         report["reason"] = "odd degree: flat-foldable vertices have even degree"
@@ -495,7 +482,7 @@ def cmd_check(args) -> Result:
         )
     report: dict[str, Any] = {
         "command": "check",
-        "input": _input_block(v, _SectorNames(v.den)),
+        "input": _input_block(v),
         "assignment": str(mv),
         "maekawa": vxmod.maekawa_check(mv),
     }
@@ -522,9 +509,7 @@ def cmd_check(args) -> Result:
 
 def cmd_enumerate(args) -> Result:
     v = parse_angles(args.angles)
-    report: dict[str, Any] = {
-        "command": "enumerate", "input": _input_block(v, _SectorNames(v.den))
-    }
+    report: dict[str, Any] = {"command": "enumerate", "input": _input_block(v)}
     if args.fast:
         # the name of the crimp filter that --fast ran before: the list is
         # the same, and scripts match on the name

@@ -103,7 +103,9 @@ class AngleSequence:
         return AngleSequence(self.ints[::-1], self.den)
 
     def as_strings(self) -> list[str]:
-        return [_sector_name(n, self.den) for n in self.ints]
+        """Each sector's ``str(Fraction(n, den))``, formatted once per value."""
+        names = {n: _sector_name(n, self.den) for n in set(self.ints)}
+        return list(map(names.__getitem__, self.ints))
 
 
 def _sector_name(n: int, den: int) -> str:
@@ -468,10 +470,11 @@ def _boxed(edges: Sequence[tuple[Point, Point]]) -> list[tuple]:
             for a, b in edges]
 
 
-def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[list, list, int]:
-    """The points scaled to integers, which of them lie on the border, and the
-    scale. The scale, twice the LCM of all denominators, is positive, so every
-    predicate keeps its value, and even, so crease midpoints stay integral."""
+def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[list, list, int, list]:
+    """The points scaled to integers, which of them lie on the border, the
+    scale and the point ids sorted by point. The scale, twice the LCM of all
+    denominators, is positive, so every predicate keeps its value, and even,
+    so crease midpoints stay integral."""
     scale = 2 * math.lcm(*[x.denominator for x, _ in pts], *[y.denominator for _, y in pts])
     ipts = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
             for x, y in pts]
@@ -484,7 +487,7 @@ def _integer_geometry(pts: Sequence[Point], boundary: Sequence[int]) -> tuple[li
         for k in order[bisect_left(ordered, (x0, y0)):bisect_right(ordered, (x1, y1))]:
             if y0 <= ipts[k][1] <= y1 and _on_segment(ipts[k], a, b):
                 flags[k] = True
-    return ipts, flags, scale
+    return ipts, flags, scale, order
 
 
 def _check_label_count(assignment: Optional[MVAssignment], creases: Sequence) -> None:
@@ -503,7 +506,7 @@ def _validate_pattern(p: CreasePattern) -> None:
     if len(set(p.boundary)) != len(p.boundary):
         raise StructuralError("border cycle repeats a vertex")
 
-    pts, flags, _ = p._geometry
+    pts, flags, _, order = p._geometry
     if len(set(pts)) != n:
         raise StructuralError("two vertices share the same coordinates")
 
@@ -562,7 +565,6 @@ def _validate_pattern(p: CreasePattern) -> None:
     # no vertex may sit inside a crease: with the vertices sorted by point,
     # those in a crease's box lie between its lower and upper corners, among
     # others whose y is outside it
-    order = sorted(range(n), key=pts.__getitem__)
     ordered = [pts[k] for k in order]
     for ci, (i, j) in enumerate(p.creases):
         x0, y0, x1, y1 = boxes[ci]
@@ -629,11 +631,11 @@ def normalize_pattern(p: CreasePattern) -> CreasePattern:
     halves inherit the original crease's label. Idempotent: a pattern with no
     border-to-border crease is returned as it is. The split pattern keeps the
     integer geometry of ``p``, extended by the midpoints, which are integers
-    because the scale is even.
+    because the scale is even, and merged into its order.
     """
     if p._border_crease is None:
         return p
-    ipts, flags, scale = p._geometry
+    ipts, flags, scale, order = p._geometry
     ipts, flags, vertices = list(ipts), list(flags), list(p.vertices)
     creases: list[tuple[int, int]] = []
     labels: list[MVLabel] = []
@@ -655,7 +657,8 @@ def normalize_pattern(p: CreasePattern) -> CreasePattern:
         boundary=p.boundary,
         assignment=MVAssignment(tuple(labels)) if p.assignment is not None else None,
         split_vertices=p.split_vertices | set(range(len(p.vertices), len(vertices))),
-        _geometry=(ipts, flags, scale),
+        _geometry=(ipts, flags, scale, sorted([*order, *range(len(p.vertices), len(ipts))],
+                                              key=ipts.__getitem__)),
         _border_crease=None,
     )
 

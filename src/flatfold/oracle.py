@@ -23,23 +23,22 @@ witness against the constraints themselves.
 One folded net, `LayerModel`, serves both questions the oracle answers, and
 one walk (`_walk`) builds it: a closed walk for a whole vertex
 (`_vertex_net`) and an open one for a single equal-angle run between two
-flaps (`_restricted_net`). Only (a) reads a label. Which fold pairs fall
-under (b) and which sheets straddle a fold for (c) follow from the folded
-geometry alone, so each model turns them into label-free tables once
-(`_constraint_tables`), and the search reads them. Given labels, (a) becomes
-the window of slots where each inserted sheet may go, read when the sheet is
-inserted. One driver, `_stacking`, reads the labels through `MVAssignment`,
-runs that search and re-checks every witness it finds with `stacking_valid`,
-for a whole vertex and a restricted run alike.
+flaps (`_restricted_net`). Only (a) reads a label: each net reads its (b)
+and (c) entries off once (`LayerModel._entries`), and each search files them
+by insertion step once, numbered from the sheet it inserts first. Given
+labels, (a) becomes the window of slots where each inserted sheet may go,
+read when the sheet is inserted. One driver, `_stacking`, reads the labels
+through `MVAssignment`, runs that search and re-checks every witness it
+finds with `stacking_valid`, for a whole vertex and a restricted run alike.
 
 `enumerate_valid`, the one enumeration routine, folds the vertex once and
 runs the same search once without labels, up to `DEFAULT_LIMIT` sectors;
 only `oracle_is_valid` takes a higher limit. Each slot a sheet takes then
 fixes the labels of the folds it closes, so every labeling is read off the
-stackings found, and each one's first stacking is re-checked. Layer
-constraints alone decide: Maekawa's rule only ends branches whose labelings
-have all been found, and the oracle is the ground truth that crimping and
-the recursion are checked by.
+stackings found as a word, spelled once, and each one's first stacking is
+re-checked. Layer constraints alone decide: Maekawa's rule only ends
+branches whose labelings have all been found, and the oracle is the ground
+truth that crimping and the recursion are checked by.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .core import AngleSequence, Labels, MVAssignment, MVLabel, _as_assignment
 from .errors import CapacityError, NotFlatFoldableError, UnsupportedError
@@ -56,6 +55,7 @@ from .vertex import RunCondition
 
 DEFAULT_LIMIT = 10
 _FLIP = str.maketrans("MV", "VM")
+_SPELL = str.maketrans("01", "MV")
 
 _Sheet = tuple[int, int, int]
 _Fold = tuple[int, int, int, int]
@@ -80,8 +80,24 @@ class LayerModel:
     folds: tuple[_Fold, ...]
 
     @functools.cached_property
+    def _entries(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """The label-free entries in the net's own numbering: (b) as ``(p, q,
+        r, s)``, folds p-q and r-s must not interleave, and (c) as ``(p, q,
+        s)``, sheet s must not lie between fold p-q's sheets."""
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for p, q, pos, side in self.folds:
+            groups.setdefault((pos, side), []).append((p, q))
+        # folds that share a sheet cannot interleave strictly
+        pairs = [(p, q, r, s) for group in groups.values() if len(group) > 1
+                 for (p, q), (r, s) in itertools.combinations(group, 2) if len({p, q, r, s}) == 4]
+        # a fold lies at an end of both its sheets, so neither straddles it
+        straddles = [(p, q, s) for p, q, pos, _side in self.folds
+                     for s, (lo, hi, _o) in enumerate(self.sheets) if lo < pos < hi]
+        return pairs, straddles
+
+    @functools.cached_property
     def _tables(self) -> _Tables:
-        return _constraint_tables(self.sheets, self.folds)
+        return _constraint_tables(self, 0)  # a labeled search inserts sheet 0 first
 
 
 def _walk(start: int, sectors: Sequence[int], closed: bool) -> LayerModel:
@@ -132,31 +148,25 @@ def fold_directions(v: AngleSequence) -> LayerModel:
     return model
 
 
-def _fold_wants_right_above(sheets: Sequence[_Sheet], fold: _Fold, label: MVLabel) -> bool:
-    return (label is MVLabel.VALLEY) == (sheets[fold[0]][2] == 1)
-
-
-def _interleaved(a1: int, a2: int, b1: int, b2: int) -> bool:
-    return a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
-
-
 def stacking_valid(model: LayerModel, mv: Labels, stacking: Sequence[int]) -> bool:
-    """Check one bottom-to-top sheet order against all three constraints.
-    ``mv`` holds one label per fold of the model, read as `MVAssignment`
-    reads labels, and ``stacking`` is a permutation of its sheets."""
+    """Check one bottom-to-top sheet order against the three constraints as
+    the net states them, not the search's tables: ``mv`` has one label per
+    fold, read as `MVAssignment` reads them; ``stacking`` permutes the sheets."""
     sheets, folds = model.sheets, model.folds
-    mv = _as_assignment(mv, len(folds))
+    labels = _as_assignment(mv, len(folds)).labels
     if sorted(stacking) != list(range(len(sheets))):
         raise ValueError("stacking must be a permutation of the sectors")
     level = [0] * len(sheets)
     for lvl, s in enumerate(stacking):
         level[s] = lvl
     spans: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for fold, label in zip(folds, mv):
-        left, right, pos, side = fold
-        if _fold_wants_right_above(sheets, fold, label) != (level[right] > level[left]):
+    for (left, right, pos, side), label in zip(folds, labels):
+        lo, hi = level[left], level[right]
+        # (a): a valley puts the right sheet above the left one when the
+        # left sheet shows sheet 0's face
+        if ((label is MVLabel.VALLEY) == (sheets[left][2] == 1)) != (hi > lo):
             return False
-        lo, hi = sorted((level[left], level[right]))
+        lo, hi = (lo, hi) if lo < hi else (hi, lo)
         # (c): only the sheets stacked between the fold's two sheets can be in its way
         for s in stacking[lo + 1 : hi]:
             if sheets[s][0] < pos < sheets[s][1]:
@@ -165,49 +175,47 @@ def stacking_valid(model: LayerModel, mv: Labels, stacking: Sequence[int]) -> bo
     # (b): only folds at one position that open the same way can interleave
     for group in spans.values():
         for (a1, a2), (b1, b2) in itertools.combinations(group, 2):
-            if _interleaved(a1, a2, b1, b2):
+            if a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2:
                 return False
     return True
 
 
 @dataclass(frozen=True)
 class _Tables:
-    """The layer constraints of one folded net, indexed by the insertion step
-    that places the last of their sheets (sheet j is inserted at step j).
+    """The layer constraints of one search, numbered from the sheet it inserts
+    first and filed under the step that inserts the last of their sheets
+    (sheet j at step j). ``closing[j]`` holds (a) as ``(fold, other,
+    above)``: j lies above sheet ``other``, across ``fold``, exactly when
+    ``(the fold is a valley) == above``. ``pairs[j]`` and ``straddles[j]``
+    hold (b) and (c) as `LayerModel._entries` does; only (a) reads a label."""
 
-    ``closing[j]`` holds (a) as ``(fold, other, above)``: sheet j and sheet
-    ``other`` meet at ``fold``, and j lies above ``other`` exactly when
-    ``(the fold's label is a valley) == above``. ``pairs[j]`` holds (b) as
-    ``(p, q, r, s)``: folds p-q and r-s must not interleave.
-    ``straddles[j]`` holds (c) as ``(p, q, s)``: sheet s must not lie
-    between fold p-q's sheets. Only (a) reads a label, so one table serves
-    every labeling.
-    """
-
-    closing: tuple[tuple[tuple[int, int, bool], ...], ...]
-    pairs: tuple[tuple[tuple[int, int, int, int], ...], ...]
-    straddles: tuple[tuple[tuple[int, int, int], ...], ...]
+    closing: list[list[tuple[int, int, bool]]]
+    pairs: list[list[tuple[int, int, int, int]]]
+    straddles: list[list[tuple[int, int, int]]]
 
 
-def _constraint_tables(sheets: Sequence[_Sheet], folds: Sequence[_Fold]) -> _Tables:
+def _constraint_tables(model: LayerModel, first: int) -> _Tables:
+    """The tables with every sheet and fold x numbered (x - first) mod n, so
+    that sheet ``first`` is inserted first: each entry is numbered and filed
+    under its step once."""
+    sheets = model.sheets
     n = len(sheets)
-    closing: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-    for fi, (p, q, _pos, _side) in enumerate(folds):
+    at = [*range(n - first, n), *range(n - first)]  # at[x] == (x - first) % n
+    closing, pairs, straddles = tables = [[[] for _ in range(n)] for _ in range(3)]
+    for fi, (p, q, _pos, _side) in enumerate(model.folds):
         # a valley puts the right sheet above the left one when the left
-        # sheet shows sheet 0's face (see `_fold_wants_right_above`)
-        left_up = sheets[p][2] == 1
-        closing[max(p, q)].append((fi, p, left_up) if q > p else (fi, q, not left_up))
-    pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for (p, q, pos1, side1), (r, s, pos2, side2) in itertools.combinations(folds, 2):
-        # folds that share a sheet cannot interleave strictly
-        if side1 == side2 and pos1 == pos2 and len({p, q, r, s}) == 4:
-            pairs[max(p, q, r, s)].append((p, q, r, s))
-    straddles: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for p, q, pos, _side in folds:
-        for s, (slo, shi, _o) in enumerate(sheets):
-            if s != p and s != q and slo < pos < shi:
-                straddles[max(p, q, s)].append((p, q, s))
-    return _Tables(*(tuple(map(tuple, t)) for t in (closing, pairs, straddles)))
+        # sheet shows sheet 0's face
+        a, b = at[p], at[q]
+        if b > a:
+            closing[b].append((at[fi], a, sheets[p][2] == 1))
+        else:
+            closing[a].append((at[fi], b, sheets[p][2] != 1))
+    for steps, entries in zip((pairs, straddles), model._entries):
+        if first:
+            entries = [tuple(map(at.__getitem__, e)) for e in entries]
+        for e in entries:
+            steps[max(e)].append(e)
+    return _Tables(*tables)
 
 
 @functools.cache
@@ -221,53 +229,33 @@ def _maekawa_completions(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _earliest_start(tables: _Tables) -> int:
+def _earliest_start(model: LayerModel) -> int:
     """The sheet to insert first so that the (b) and (c) entries complete
-    early: the r that minimizes the sum, over entries, of the step that
-    inserts the last of their sheets when sheet r goes first."""
-    n = len(tables.pairs)
+    early: the r that minimizes the sum, over the net's entries, of the step
+    that inserts the last of their sheets when sheet r goes first."""
+    n = len(model.sheets)
     cost = [0] * n
-    for table in (tables.pairs, tables.straddles):
-        for step in table:
-            for entry in step:
-                # numbered from any r past one of the entry's sheets, prev,
-                # up to its next one, x, the entry completes when prev goes
-                # in, at step n + prev - r (a negative r indexes as r + n)
-                prev = max(entry) - n
-                for x in sorted(entry):
-                    for r in range(prev + 1, x + 1):
-                        cost[r] += n + prev - r
-                    prev = x
+    for entries in model._entries:
+        for entry in entries:
+            # numbered from any r past one of the entry's sheets, prev, up
+            # to its next one, x, the entry completes when prev goes in, at
+            # step n + prev - r (a negative r indexes as r + n)
+            prev = max(entry) - n
+            for x in sorted(entry):
+                for r in range(prev + 1, x + 1):
+                    cost[r] += n + prev - r
+                prev = x
     return cost.index(min(cost))
-
-
-def _shifted(tables: _Tables, r: int) -> _Tables:
-    """The same tables with every sheet and fold x numbered (x - r) mod n,
-    so that sheet r is inserted first."""
-    n = len(tables.pairs)
-    closing: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-    for j, step in enumerate(tables.closing):
-        for fi, other, above in step:
-            a, b = (j - r) % n, (other - r) % n
-            # the later of the two sheets may change, and with it the side
-            closing[max(a, b)].append(((fi - r) % n, min(a, b), above == (a > b)))
-    moved: list[list[list[tuple[int, ...]]]] = [[[] for _ in range(n)] for _ in range(2)]
-    for table, out in zip((tables.pairs, tables.straddles), moved):
-        for step in table:
-            for e in step:
-                e = tuple((x - r) % n for x in e)
-                out[max(e)].append(e)
-    return _Tables(*(tuple(map(tuple, t)) for t in (closing, *moved)))
 
 
 def _search(
     model: LayerModel, labels: Optional[Sequence[MVLabel]] = None
-) -> dict[tuple[MVLabel, ...], list[int]]:
+) -> dict[Union[tuple[MVLabel, ...], str], list[int]]:
     """Insert sheets one by one into a growing stack, pruning as constraints
     complete. Violations are monotone in insertions (later sheets never
     reorder earlier ones), so pruning is sound and the search exhaustive.
-    Returns each labeling found, one label per fold, with the first
-    stacking found for it.
+    Returns each labeling found with the first stacking found for it: the
+    given ``labels`` as a tuple, or each word of M and V found.
 
     Constraint (a), the only one that reads a label, ties the slot of sheet
     j to the labels of the folds that j closes: j lies above a closing
@@ -283,32 +271,30 @@ def _search(
     inserted above the first are searched, since turning the paper over
     reverses the stack and flips every label, and a window is skipped once
     every labeling under its label prefix that passes Maekawa's rule,
-    M - V = +-2, has been found. The sheets are numbered from the one
-    `_earliest_start` picks, so that (b) and (c) prune early, and numbered
-    back in what is returned.
+    M - V = +-2, has been found. The tables are built once, from the sheet
+    `_earliest_start` picks so that (b) and (c) prune early; a leaf keeps its
+    label word and a copy of the stack, which is numbered back on return.
 
     At a slot, only the (b) and (c) entries of step j are checked, on
     integer levels that are kept up to date as sheet j moves up through its
     window.
     """
-    tables = model._tables
-    n = len(tables.pairs)
+    n = len(model.sheets)
     enumerating = labels is None
-    if enumerating:
-        first = _earliest_start(tables)
-        if first:
-            tables = _shifted(tables, first)
+    first = _earliest_start(model) if enumerating else 0
+    tables = _constraint_tables(model, first) if enumerating else model._tables
     closing, pairs, straddles = tables.closing, tables.pairs, tables.straddles
     order = [0]
     level = [0] * n
-    found: dict[tuple[MVLabel, ...], list[int]] = {}
+    found: dict = {}  # keyed by the labels given, or by each label word
     if enumerating:
-        # a word holds a label prefix: bit n - 1 - f is set when fold f is
-        # a valley. closed[j] has the bits of the folds closed by step j, and
-        # ways[j][v] counts the labelings past step j with v valleys so far
-        # that pass Maekawa's rule; seen counts the labelings found under
-        # each (step, prefix), keyed j << n | prefix
-        bit = [1 << (n - 1 - fi) for fi in range(n)]
+        # a word holds a label prefix: bit n - 1 - f is set when fold f of
+        # the model, fold f - first of the search, is a valley. closed[j] has
+        # the bits of the folds closed by step j, and ways[j][v] counts the
+        # labelings past step j with v valleys so far that pass Maekawa's
+        # rule; seen counts the labelings found under each (step, prefix),
+        # keyed j << n | prefix
+        bit = [1 << (n - 1 - (fi + first) % n) for fi in range(n)]
         closed = list(itertools.accumulate(
             sum(bit[fi] for fi, _o, _a in step) for step in closing))
         ways = [_maekawa_completions(n)[n - mask.bit_count()] for mask in closed]
@@ -368,9 +354,7 @@ def _search(
             if not enumerating:
                 found[tuple(labels)] = list(order)
                 return True
-            labeling = tuple(MVLabel.VALLEY if word & bit[(f - first) % n] else MVLabel.MOUNTAIN
-                             for f in range(n))
-            found[labeling] = [(s + first) % n for s in order]
+            found[word] = list(order)
             for step, mask in enumerate(closed):
                 key = step << n | word & mask
                 seen[key] = seen.get(key, 0) + 1
@@ -400,7 +384,10 @@ def _search(
 
     rec(1, 0)
     del rec, sweep  # they refer to each other: leave no cycle for the collector
-    return found
+    if not enumerating:
+        return found
+    return {format(word, "0%db" % n).translate(_SPELL): [(s + first) % n for s in stack]
+            for word, stack in found.items()}
 
 
 def _stacking(model: LayerModel, labels: Labels) -> Optional[tuple[int, ...]]:
@@ -436,18 +423,18 @@ def enumerate_valid(v: AngleSequence) -> list[MVAssignment]:
     labeling off the stackings it finds (see `_search`). Two facts of every
     flat fold cut it. Turning the paper over reverses the stack and flips
     every label, so only stackings with the second sheet inserted above the
-    first are searched, and each labeling found brings its flip along. Maekawa's theorem,
-    |M - V| = 2, only ends branches: one stops once every labeling under
-    its label prefix that passes the rule has been found. Every labeling's
-    first stacking is re-checked against the constraints themselves.
+    first are searched, and each labeling found brings its flip along.
+    Maekawa's theorem, |M - V| = 2, only ends branches: one stops once every
+    labeling under its label prefix that passes the rule has been found.
+    Each labeling comes spelled once as a word, and its first stacking is
+    re-checked against the constraints themselves.
     """
     model = _vertex_net(v, DEFAULT_LIMIT)
     if model is None:
         return []
     words = []
-    for labels, stacking in _search(model).items():
-        assert stacking_valid(model, labels, stacking)
-        word = "".join(labels)
+    for word, stacking in _search(model).items():
+        assert stacking_valid(model, word, stacking)
         words += (word, word.translate(_FLIP))
     return [MVAssignment(word) for word in sorted(words)]
 

@@ -372,9 +372,9 @@ _JSON_VALUES = st.recursive(
 @example(1001, 1001)
 @example(2, 6)
 def test_sector_names_are_fraction_strings(n, den):
-    names = cli._SectorNames(den)
-    assert names[n] == str(Fraction(n, den))
-    assert list(map(names.__getitem__, (n, n))) == [str(Fraction(n, den))] * 2
+    assert core._sector_name(n, den) == str(Fraction(n, den))
+    assert AngleSequence((n, n + 1, n), den).as_strings() == [
+        str(Fraction(n, den)), str(Fraction(n + 1, den)), str(Fraction(n, den))]
 
 
 def test_text_lines_read_tuples_as_lists():

@@ -263,11 +263,12 @@ class TestNormalizePattern:
         rng = random.Random(seed)
         p = unsplit_chain_pattern(rng, rng.randint(1, 5), monkeypatch)
         q = normalize_pattern(p)
-        ipts, flags, scale = q._geometry
-        fresh, fresh_flags, fresh_scale = core._integer_geometry(
+        ipts, flags, scale, order = q._geometry
+        fresh, fresh_flags, fresh_scale, fresh_order = core._integer_geometry(
             [v.point for v in q.vertices], q.boundary)
         assert scale == p._geometry[2]
         assert flags == fresh_flags == [v.on_boundary for v in q.vertices]
+        assert order == fresh_order
         assert [(x * fresh_scale, y * fresh_scale) for x, y in ipts] == [
             (x * scale, y * scale) for x, y in fresh]
 

@@ -31,6 +31,7 @@ from flatfold.vertex import (
     run_validity,
 )
 from generators import random_nonclosing_sequence
+from reference_tables import reference_constraint_tables, reference_shifted
 
 SQUARE = AngleSequence((90, 90, 90, 90))
 MIRROR = AngleSequence((100, 80, 80, 100))
@@ -625,7 +626,7 @@ class TestReferenceSearch:
         monkeypatch.setattr(
             oracle_module,
             "_constraint_tables",
-            lambda sheets, folds: calls.append(len(sheets)) or real(sheets, folds),
+            lambda model, first: calls.append(len(model.sheets)) or real(model, first),
         )
         for seq in (SQUARE, AngleSequence((20, 10, 40, 50, 60, 60, 60, 60))):
             calls.clear()
@@ -633,10 +634,11 @@ class TestReferenceSearch:
             assert calls == [len(seq)]
 
 
-def reference_earliest_start(tables):
+def reference_earliest_start(model):
     """The first sheet `_search` inserts when it enumerates, straight from its
     definition: the r that minimizes the sum, over (b) and (c) entries, of
     the step that inserts the last of their sheets."""
+    tables = reference_constraint_tables(model.sheets, model.folds)
     n = len(tables.pairs)
     entries = [e for step in tables.pairs + tables.straddles for e in step]
     return min(range(n), key=lambda r: sum(max((x - r) % n for x in e) for e in entries))
@@ -656,9 +658,9 @@ class TestFirstSheet:
         for v in stars:
             want = enumerate_valid(v)
             assert want == [mv for mv in all_assignments(len(v)) if crimp_validity(v, mv)]
-            chosen.append(real(fold_directions(v)._tables))
+            chosen.append(real(fold_directions(v)))
             for r in range(len(v)):
-                monkeypatch.setattr(oracle_module, "_earliest_start", lambda tables, r=r: r)
+                monkeypatch.setattr(oracle_module, "_earliest_start", lambda model, r=r: r)
                 assert enumerate_valid(v) == want, (v.as_strings(), r)
             monkeypatch.setattr(oracle_module, "_earliest_start", real)
         assert any(chosen)
@@ -668,10 +670,36 @@ class TestFirstSheet:
             CONE_7_11_13, AngleSequence((30,) * 4 + (60,) + (30,) * 4 + (60,))]
         chosen = set()
         for v in stars:
-            tables = fold_directions(v)._tables
-            chosen.add(oracle_module._earliest_start(tables))
-            assert oracle_module._earliest_start(tables) == reference_earliest_start(tables)
+            model = fold_directions(v)
+            chosen.add(oracle_module._earliest_start(model))
+            assert oracle_module._earliest_start(model) == reference_earliest_start(model)
         assert len(chosen) > 2
+
+
+class TestOnePassTables:
+    """`_constraint_tables` numbers each entry from the first sheet as it
+    files it under its step. For every first sheet, each step must hold the
+    entries of the two-pass reference: the tables numbered from sheet 0,
+    then renumbered."""
+
+    def test_every_first_sheet_matches_the_renumbered_reference(self):
+        stars = seeded_stars(22) + seeded_stars(23) + [CONE_7_11_13]
+        assert any(not v.is_flat for v in stars)
+        models = [fold_directions(v) for v in stars] + _run_nets(stars + [MIRROR])
+        assert any(len(m.folds) < len(m.sheets) for m in models)
+        entries = 0
+        for model in models:
+            base = reference_constraint_tables(model.sheets, model.folds)
+            for r in range(len(model.sheets)):
+                want, got = reference_shifted(base, r), oracle_module._constraint_tables(model, r)
+                for name in ("closing", "pairs", "straddles"):
+                    steps, wanted = getattr(got, name), getattr(want, name)
+                    assert len(steps) == len(wanted) == len(model.sheets)
+                    for step, wanted_step in zip(steps, wanted):
+                        assert len(step) == len(set(step))
+                        assert set(step) == set(wanted_step), (model, r, name)
+                        entries += len(step)
+        assert entries > 0
 
 
 # `stacking_valid` as it ran before it grouped its checks: (b) over every pair
