@@ -165,17 +165,17 @@ def _pattern_int(token: str) -> int:
     return int(token)
 
 
-def _coerce_coordinate(value: Any, what: str) -> int | Fraction:
+def _coerce_coordinate(value: Any) -> int | Fraction:
     """An int stays an int and a `Fraction` a `Fraction`: both are exact."""
     # `type`, not `isinstance`, here and for indices: JSON true is an int
     if type(value) in (int, Fraction):
         return value
     if isinstance(value, str):
         try:
-            return Fraction(_pattern_number(value, what))
+            return Fraction(_pattern_number(value, "coordinate"))
         except (ValueError, ZeroDivisionError):
-            raise SchemaError("bad %s %r" % (what, value)) from None
-    raise SchemaError("bad %s %r" % (what, value))
+            raise SchemaError("bad coordinate %r" % (value,)) from None
+    raise SchemaError("bad coordinate %r" % (value,))
 
 
 def parse_pattern(path: str) -> CreasePattern:
@@ -212,8 +212,7 @@ def parse_pattern(path: str) -> CreasePattern:
     for entry in data["vertices"]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError("each vertex must be an [x, y] pair")
-        points.append((_coerce_coordinate(entry[0], "coordinate"),
-                       _coerce_coordinate(entry[1], "coordinate")))
+        points.append((_coerce_coordinate(entry[0]), _coerce_coordinate(entry[1])))
     creases = []
     for entry in data["creases"]:
         if (
@@ -316,15 +315,13 @@ def _text_lines(value: Any, prefix: str = "") -> list[str]:
                 lines.extend(_text_lines(sub, prefix + "  "))
             else:
                 lines.append("%s%s: %s" % (prefix, key, _scalar(sub)))
-    elif isinstance(value, (list, tuple)):
+    else:
         for item in value:
             if isinstance(item, (dict, list, tuple)):
                 lines.append("%s-" % prefix)
                 lines.extend(_text_lines(item, prefix + "  "))
             else:
                 lines.append("%s- %s" % (prefix, _scalar(item)))
-    else:
-        lines.append("%s%s" % (prefix, _scalar(value)))
     return lines
 
 

@@ -516,15 +516,12 @@ def _validate_pattern(p: CreasePattern) -> None:
     bedges = _border_edges(pts, p.boundary)
     for i in range(m):
         a, b = bedges[i]
-        if a == b:
-            raise StructuralError("zero-length border edge")
         for j in range(i + 1, m):
             c, d = bedges[j]
             adjacent = j == i + 1 or (i == 0 and j == m - 1)
             if adjacent:
-                shared = b if j == i + 1 else a
                 other_c = d if j == i + 1 else c
-                if _on_segment(other_c, a, b) and other_c != shared:
+                if _on_segment(other_c, a, b):
                     raise PlanarityError("border folds back on itself")
                 if _collinear_overlap(a, b, c, d):
                     raise PlanarityError("border edges overlap")
@@ -717,8 +714,6 @@ def _ccw_directions(p: CreasePattern, v: int) -> list[tuple[int, tuple[int, int]
         raise StructuralError(
             "vertex %d is on the border; border vertices follow different rules" % v
         )
-    if not creases:
-        raise StructuralError("vertex %d has no creases" % v)
     return sorted(creases, key=lambda cd: _ccw_key(cd[1]))
 
 

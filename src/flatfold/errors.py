@@ -44,8 +44,6 @@ class UnsupportedError(FlatFoldError):
 class LocalMaekawaError(FlatFoldError):
     """Some interior vertex violates the local mountain-valley parity rule."""
 
-    def __init__(self, vertex_ids, message=None):
+    def __init__(self, vertex_ids):
         self.vertex_ids = tuple(vertex_ids)
-        if message is None:
-            message = "local M-V parity fails at vertices %s" % (list(self.vertex_ids),)
-        super().__init__(message)
+        super().__init__("local M-V parity fails at vertices %s" % (list(self.vertex_ids),))

@@ -84,25 +84,9 @@ class AffineMap:
                 and self.b == self.c == self.tx == self.ty == 0)
 
 
-def _scaled_reflection(p: CreasePattern, crease: int) -> AffineMap:
-    """The reflection across a crease's line, as a map of the pattern's plane
-    scaled to integers."""
-    if not 0 <= crease < len(p.creases):
-        raise StructuralError("crease %d out of range" % crease)
-    a, b, tx, ty, n = p._reflections[crease]
-    return AffineMap(a, b, b, -a, tx, ty, n)
-
-
-def _unscaled(p: CreasePattern, m: AffineMap) -> AffineMap:
-    """A map of the pattern's integer-scaled plane as a map of its own
-    coordinates: X = s x turns X -> (M X + t) / den into (s M x + t) / (s den)."""
-    s = p._geometry[2]
-    return AffineMap(s * m.a, s * m.b, s * m.c, s * m.d, m.tx, m.ty, s * m.den)
-
-
 def reflection(p: CreasePattern, crease: int) -> AffineMap:
     """Reflection across the full line containing a crease segment."""
-    return _unscaled(p, _scaled_reflection(p, crease))
+    return reflection_trace(p, (crease,)).map
 
 
 @dataclass(frozen=True)
@@ -132,9 +116,9 @@ def reflection_trace(p: CreasePattern, crease_ids: Sequence[int]) -> TraceResult
     """
     if not crease_ids:
         raise ValueError("the curve crosses no creases")
-    # The product identity . R1 . R2 ... in the scaled plane, one factor s
-    # instead of one per crease, on plain ints: what folding
-    # `AffineMap.compose` over `_scaled_reflection` gives, then `_unscaled`.
+    # The product identity . R1 . R2 ... in the plane scaled by s to
+    # integers, on plain ints, then unscaled once: X = s x turns
+    # X -> (M X + t) / den into (s M x + t) / (s den).
     # Each crease's reflection is built once per pattern (`_reflections`).
     reflections = p._reflections
     ma, mb, mc, md, mtx, mty, den = 1, 0, 0, 1, 0, 0, 1

@@ -275,6 +275,34 @@ class TestParsePattern:
         assert main(["pattern", "check", path]) == 0
         assert len(calls) == 2  # one per request
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"vertices": [', "invalid JSON in PATH: "),
+        ("[1, 2]", "the pattern document must be a JSON object"),
+        ('{"vertices": [], "creases": {}, "boundary": []}', "'creases' must be a list"),
+        ('{"vertices": [[1]], "creases": [], "boundary": []}',
+         "each vertex must be an [x, y] pair"),
+        (json.dumps(dict(VALID_DOC, assignment="M")), "the assignment must be a list of labels"),
+        (json.dumps(dict(VALID_DOC, assignment=["M", "M", "M", "X"])),
+         "assignment labels must be 'M' or 'V'"),
+    ], ids=["truncated", "array", "creases-object", "short-vertex", "assignment-string",
+            "unknown-label"])
+    def test_document_refusals(self, tmp_path, capsys, text, message):
+        path = tmp_path / "pattern.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as info:
+            parse_pattern(str(path))
+        got = str(info.value)
+        if "PATH" in message:  # the json module words the rest
+            assert got.startswith(message.replace("PATH", str(path)))
+        else:
+            assert got == message
+        assert run_cli(capsys, "pattern", "check", str(path)) == (1, "", "error: %s\n" % got)
+
+    def test_lower_case_labels(self, tmp_path, capsys):
+        path = write_pattern(tmp_path, dict(VALID_DOC, assignment=["m", "m", "m", "v"]))
+        assert str(parse_pattern(path).assignment) == "MMMV"
+        assert run_cli(capsys, "pattern", "check", path)[0] == 0
+
     def test_wrong_assignment_length(self, tmp_path):
         doc = dict(VALID_DOC, assignment=["M", "V"])
         with pytest.raises(SchemaError):
@@ -1057,8 +1085,11 @@ class TestParseArgv:
         (["pattern", "svg", "f.json", "-o"], "argument -o/--output: expected one argument"),
         (["enumerate", "--f", "90,90,90,90"],
          "ambiguous option: --f could match --format, --fast"),
+        (["enumerate", "--fast=x", "90,90,90,90"],
+         "argument --fast: ignored explicit argument 'x'"),
     ], ids=["missing-mv", "bad-format", "unknown-command", "extra-positional",
-            "per-size-exponent", "missing-angles", "missing-value", "ambiguous-prefix"])
+            "per-size-exponent", "missing-angles", "missing-value", "ambiguous-prefix",
+            "flag-with-value"])
     def test_usage_error_messages(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", "error: %s\n" % message)
 

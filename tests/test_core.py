@@ -342,7 +342,7 @@ class TestPatternValidation:
             CreasePattern.build(square(), [], boundary=boundary)
 
     def test_zero_length_border_edge(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="two vertices share the same coordinates"):
             CreasePattern.build(square() + [(4, 4)], [], boundary=(0, 1, 2, 4, 3))
 
     @pytest.mark.parametrize(
@@ -362,6 +362,10 @@ class TestPatternValidation:
         # (True as 1), and not a bare TypeError
         with pytest.raises(StructuralError, match="^%s index must be an integer" % field):
             CreasePattern.build(square() + [(2, 2)], creases, boundary, split_vertices=split)
+
+    def test_split_tag_on_the_border_is_refused(self):
+        with pytest.raises(StructuralError, match="^split tag on a non-interior vertex 1$"):
+            CreasePattern.build(square() + [(2, 2)], [(4, 1)], (0, 1, 2, 3), split_vertices=[1])
 
     def test_boolean_coordinate_is_refused(self):
         # read as the number 0 it would build a square

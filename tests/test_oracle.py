@@ -332,6 +332,15 @@ class TestRunRestricted:
         assert run_validity(v, run, "MMVM") is run_restricted_valid(v, run, "MMVM") is True
         assert run_validity(v, run, "MMMM") is run_restricted_valid(v, run, "MMMM") is False
 
+    def test_long_run_exceeds_the_search_limit(self):
+        # the run's 11 creases are too many to search; the tally rule decides
+        v = AngleSequence((100,) + (10,) * 10 + (100, 60))
+        run, labels = RunCondition(1, 9, 13), "MV" * 5 + "M"
+        with pytest.raises(CapacityError,
+                           match="^11 creases exceed the exhaustive-search limit of 10$"):
+            run_restricted_valid(v, run, labels)
+        assert run_validity(v, run, labels) is True
+
     def test_net_on_mirror_vertex(self):
         # flap 100 from -100, the two 80s back and forth, then flap 100
         (run,) = find_runs(MIRROR)
@@ -529,6 +538,12 @@ def seeded_stars(seed):
                 flat = AngleSequence(tuple(a * scale for a in flat))
             stars.append(flat)
     return stars
+
+
+@pytest.mark.parametrize("creases", [3, 0])
+def test_random_flat_sequence_needs_a_positive_even_size(creases):
+    with pytest.raises(ValueError, match="^need a positive even number of creases$"):
+        random_flat_sequence(random.Random(0), creases)
 
 
 class TestClosureGate:

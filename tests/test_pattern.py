@@ -26,8 +26,6 @@ from flatfold.pattern import (
     local_kawasaki_all,
     reflection,
     reflection_trace,
-    _scaled_reflection,
-    _unscaled,
 )
 from flatfold.vertex import kawasaki
 from generators import (
@@ -84,6 +82,15 @@ class TestReflection:
         assert m.compose(m).is_identity()
         assert m.det == -1
         assert m.apply(*a) == a and m.apply(*b) == b
+
+    def test_crease_out_of_range(self):
+        p = cross_pattern()
+        n = len(p.creases)
+        for crease in (n, -1):
+            with pytest.raises(StructuralError, match="^crease %d out of range$" % crease):
+                reflection(p, crease)
+        with pytest.raises(StructuralError, match="^crease %d out of range$" % n):
+            reflection_trace(p, [n])
 
     def test_degenerate_crease(self):
         with pytest.raises(StructuralError):
@@ -681,9 +688,10 @@ def test_direction_key_orders_like_the_comparator():
 
 def test_trace_composes_as_the_folded_maps():
     """`reflection_trace` composes on plain ints. Its map equals, entry by
-    entry, the fold of `AffineMap.compose` over `_scaled_reflection`, taken
-    out of the scaled plane by `_unscaled`: around every interior vertex,
-    and along random crease sequences of either parity."""
+    entry, the fold of `AffineMap.compose` over `AffineMap.reflection_across`
+    each crease's endpoints in the pattern's integer plane, taken out of that
+    plane by its scale: around every interior vertex, and along random
+    crease sequences of either parity."""
     rng = random.Random(20261020)
     for i in range(12):
         p = grid_pattern(rng, rng.randint(2, 5)) if i % 2 else chain_pattern(rng, rng.randint(1, 4))
@@ -691,11 +699,14 @@ def test_trace_composes_as_the_folded_maps():
             curves = [curve_around_vertex(q, v) for v in q.interior_vertex_ids()]
             curves += [tuple(rng.randrange(len(q.creases)) for _ in range(k))
                        for k in range(1, 8)]
+            ipts, _flags, s = q._geometry[:3]
             for curve in curves:
                 want = AffineMap.identity()
                 for ci in curve:
-                    want = want.compose(_scaled_reflection(q, ci))
-                want = _unscaled(q, want)
+                    i, j = q.creases[ci]
+                    want = want.compose(AffineMap.reflection_across(ipts[i], ipts[j]))
+                want = AffineMap(s * want.a, s * want.b, s * want.c, s * want.d,
+                                 want.tx, want.ty, s * want.den)
                 result = reflection_trace(q, curve)
                 assert dataclasses.astuple(result.map) == dataclasses.astuple(want)
                 # the map alone gives the reason: its determinant for the

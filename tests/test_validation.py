@@ -308,6 +308,10 @@ NON_CONVEX_CASES = {
     "crease across the notch": (L_SHAPE, [(8, 9)], range(6)),
     "self-touching border": ([(0, 0), (4, 0), (4, 4), (0, 4), (4, 2)], [], range(5)),
     "crease past a notch tip": (DART, [(3, 5)], range(5)),
+    # the border turns straight back along its first edge: to a point on it,
+    # and past its start
+    "border folding back": ([(0, 0), (2, 0), (1, 0), (0, 2)], [], range(4)),
+    "border overlapping itself": ([(0, 0), (1, 0), (-1, 0), (0, 2)], [], range(4)),
 }
 
 # every check the mutants aim at, as the reference words it (digits as N)
@@ -319,6 +323,8 @@ AIMED_AT = {
     "crease N crosses the border",
     "crease N lies outside the paper",
     "border edges cross",
+    "border folds back on itself",
+    "border edges overlap",
 }
 
 
