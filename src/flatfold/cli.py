@@ -133,7 +133,7 @@ def parse_angles(text: str) -> AngleSequence:
     # denominators and a numerator at most the total scaled by that LCM. A
     # number of b bits has at most b * 0.30103 + 1 digits, as log10(2) < 0.30103.
     bits = max(len(v) + 1, v.den.bit_length(), sum(v.ints).bit_length())
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # read, never set
+    limit = sys.get_int_max_str_digits()  # read, never set; 0 means no limit
     if limit and bits * 30103 // 100000 + 1 > limit:
         raise ParseError(
             "exact results for this star could exceed %d decimal digits, the "
@@ -197,7 +197,7 @@ def parse_pattern(path: str) -> CreasePattern:
             )
     except OSError as exc:
         raise SchemaError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise SchemaError("invalid JSON in %s: %s" % (path, exc)) from None
     except RecursionError:
         raise SchemaError("invalid JSON in %s: nested too deeply" % path) from None

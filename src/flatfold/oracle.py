@@ -95,10 +95,6 @@ class LayerModel:
                      for s, (lo, hi, _o) in enumerate(self.sheets) if lo < pos < hi]
         return pairs, straddles
 
-    @functools.cached_property
-    def _tables(self) -> _Tables:
-        return _constraint_tables(self, 0)  # a labeled search inserts sheet 0 first
-
 
 def _walk(start: int, sectors: Sequence[int], closed: bool) -> LayerModel:
     """Lay the sectors end to end along the line from ``start``, turning back
@@ -282,7 +278,7 @@ def _search(
     n = len(model.sheets)
     enumerating = labels is None
     first = _earliest_start(model) if enumerating else 0
-    tables = _constraint_tables(model, first) if enumerating else model._tables
+    tables = _constraint_tables(model, first)
     closing, pairs, straddles = tables.closing, tables.pairs, tables.straddles
     order = [0]
     level = [0] * n

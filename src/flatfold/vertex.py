@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, compress, islice
 from math import comb
 from operator import ne
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import AngleSequence, CountResult, Labels, MVAssignment, ReductionStep, _as_assignment
 from .errors import CapacityError, NotFlatFoldableError, ParityError
@@ -292,18 +292,6 @@ def count_mv(v: AngleSequence, *, _pick=_default_pick) -> CountResult:
     return CountResult(count=product * base, base=base, trace=tuple(trace), bounds=limits)
 
 
-def _with_mountains(
-    labels: list[str], creases: Sequence[int], mountains: int
-) -> Iterator[list[str]]:
-    """Copies of ``labels`` with each choice of ``mountains`` of ``creases``
-    made mountains; the other creases stay valleys, as they start."""
-    for chosen in combinations(creases, mountains):
-        new = labels.copy()
-        for c in chosen:
-            new[c] = "M"
-        yield new
-
-
 # `enumerate_mv` lists at most this many assignments, at O(count * m). Any
 # star of up to 16 creases is within it: 16 equal sectors have 22880, the
 # most (see `bounds`); 24 equal sectors, with 4992288, are not.
@@ -321,15 +309,19 @@ def enumerate_words(v: AngleSequence) -> list[str]:
     """The valid assignments of a foldable vertex as words such as
     ``"MMVM"``, in lexicographic M-before-V order.
 
-    Replays `count_mv`'s reduction with each crease's id carried through the
-    rotations (Hull, "Counting mountain-valley assignments for flat folds",
-    2003). A run with an odd number of sectors takes its k + 2 creases out,
-    with tally 0. A run with an even number replaces them by one virtual
-    crease, whose label is the sign of their tally: a mountain for +1, a
-    valley for -1. The all-equal residual takes every labeling of tally +2
-    or -2, and the virtual creases are then expanded, the last step's first.
+    The count run backwards (Hull, "Counting mountain-valley assignments for
+    flat folds", 2003): every valid assignment is one of the residual's with
+    the creases of the run reduced last put back. The listing starts from
+    the all-equal residual's words of tally +2 or -2 and undoes the steps,
+    the last first. A step rotated its star so that the run's left
+    neighbour came first; undoing it puts the run's k + 2 labels right after
+    each word's first label and rotates the word back. A run of an odd
+    number of sectors takes labels of tally 0. A run of an even number
+    replaces the word's second label, the one crease that stood for it, by
+    labels of tally +1 under a mountain and -1 under a valley. Each step
+    undone at least doubles the words, so the cost is O(count * m).
 
-    The count is known from the replay before any labeling is built: above
+    The count is known from the replay before any word is built: above
     `ENUMERATE_LIMIT` it raises `CapacityError`. A star whose lower bound
     (see `bounds`) is already above the limit is refused before the replay.
     """
@@ -340,39 +332,36 @@ def enumerate_words(v: AngleSequence) -> list[str]:
             "at least %d valid assignments exceed the listing limit of %d"
             % (least, ENUMERATE_LIMIT)
         )
-    m = len(ints)
-    ids = list(range(m))
-    steps: list[tuple[list[int], Optional[int]]] = []  # run creases, virtual crease
+    n = len(ints)
+    steps: list[tuple[int, int]] = []  # each step's k and the cut that rotates a word back
     count = 1
-    for start, k, _residual in _reductions(ints, _default_pick):
-        # rotate as the sectors are; crease i lies before sector i, so the
-        # run's creases are ids[1 .. k + 2]
-        rot = (start - 1) % len(ids)
-        ids = ids[rot:] + ids[:rot]
-        virtual = None if k % 2 == 0 else m + len(steps)
-        steps.append((ids[1 : k + 3], virtual))
-        ids = ids[:1] + ([] if virtual is None else [virtual]) + ids[k + 3 :]
+    for start, k, residual in _reductions(ints, _default_pick):
+        steps.append((k, n - (start - 1) % n))
+        n = len(residual)
         count *= _factor(k)
-    count *= _base(len(ids))
+    count *= _base(n)
     if count > ENUMERATE_LIMIT:
         raise CapacityError(
             "%d valid assignments exceed the listing limit of %d" % (count, ENUMERATE_LIMIT)
         )
-    half = len(ids) // 2
-    blank = ["V"] * (m + len(steps))
-    labelings = [
-        labels
-        for mountains in (half + 1, half - 1)
-        for labels in _with_mountains(blank, ids, mountains)
-    ]
-    for run, virtual in reversed(steps):
-        # tally 0, or +1 / -1 as the virtual crease is a mountain / valley
-        n = len(run)
-        labelings = [
-            new
-            for labels in labelings
-            for new in _with_mountains(
-                labels, run, n // 2 + (virtual is not None and labels[virtual] == "M")
-            )
-        ]
-    return sorted("".join(labels[:m]) for labels in labelings)
+    words = _words(n, n // 2 + 1) + _words(n, n // 2 - 1)
+    for k, cut in reversed(steps):
+        if k % 2 == 0:  # an odd number of sectors: tally 0
+            runs = _words(k + 2, k // 2 + 1)
+            words = [w[0] + r + w[1:] for w in words for r in runs]
+        else:  # w[1] stood for the run: tally +1 under M, -1 under V
+            up, down = _words(k + 2, k // 2 + 2), _words(k + 2, k // 2 + 1)
+            words = [w[0] + r + w[2:] for w in words for r in (up if w[1] == "M" else down)]
+        words = [w[cut:] + w[:cut] for w in words]
+    return sorted(words)
+
+
+def _words(n: int, mountains: int) -> list[str]:
+    """Every word of ``n`` labels with ``mountains`` mountains."""
+    words = []
+    for chosen in combinations(range(n), mountains):
+        labels = ["V"] * n
+        for c in chosen:
+            labels[c] = "M"
+        words.append("".join(labels))
+    return words

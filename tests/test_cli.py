@@ -54,7 +54,7 @@ def reference_parse_angles(text):
         values.append(value)
     v = AngleSequence(values)
     bits = max(len(v) + 1, v.den.bit_length(), sum(v.ints).bit_length())
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     if limit and bits * 30103 // 100000 + 1 > limit:
         raise ParseError(
             "exact results for this star could exceed %d decimal digits, the "
@@ -284,11 +284,13 @@ class TestParsePattern:
         (json.dumps(dict(VALID_DOC, assignment="M")), "the assignment must be a list of labels"),
         (json.dumps(dict(VALID_DOC, assignment=["M", "M", "M", "X"])),
          "assignment labels must be 'M' or 'V'"),
+        (b'{"vertices": [[0,0]], "creases": [], "boundary": [0], "x": "\xff"}',
+         "invalid JSON in PATH: 'utf-8' codec can't decode byte 0xff in position 60"),
     ], ids=["truncated", "array", "creases-object", "short-vertex", "assignment-string",
-            "unknown-label"])
+            "unknown-label", "not-utf-8"])
     def test_document_refusals(self, tmp_path, capsys, text, message):
         path = tmp_path / "pattern.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(SchemaError) as info:
             parse_pattern(str(path))
         got = str(info.value)
@@ -820,7 +822,7 @@ class TestCommands:
         assert "Traceback" not in err
 
     @pytest.mark.skipif(
-        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        sys.get_int_max_str_digits() != 4300,
         reason="the budget follows the interpreter's digit limit, 4300 by default",
     )
     @pytest.mark.parametrize(

@@ -6,9 +6,10 @@ every step rebuilds an `AngleSequence` of `Fraction` sectors. The kernel must
 take the same steps, with the same start, length, factor and residual, and
 give the same verdict on every assignment.
 
-`enumerate_mv` lists the assignments by replaying the same reduction. Its
-ordered list is checked against the layer oracle, against a crimp filter
-written here, and in length against `count_mv`.
+`enumerate_mv` lists the assignments by undoing the same reduction's steps
+on words, the last first. Its ordered list is checked against the layer
+oracle, against a crimp filter written here, and in length against
+`count_mv`.
 """
 
 import itertools
@@ -284,7 +285,7 @@ def test_enumerate_length_is_count():
 def test_enumerate_limit_is_checked_before_listing(monkeypatch):
     built = []
     with monkeypatch.context() as patch:
-        patch.setattr(vertex, "_with_mountains", lambda *args: built.append(args) or iter(()))
+        patch.setattr(vertex, "_words", lambda *args: built.append(args) or [])
         message = "^4992288 valid assignments exceed the listing limit of 100000$"
         with pytest.raises(CapacityError, match=message):
             enumerate_mv(equal_star(24, 360))

@@ -875,20 +875,21 @@ class TestLabelsReadInPlace:
     labeling refuted while placing sheet j reads no step past j, and no
     label of a fold that closes later."""
 
-    def test_a_refuted_labeling_reads_no_step_past_the_last_it_places(self):
+    def test_a_refuted_labeling_reads_no_step_past_the_last_it_places(self, monkeypatch):
         refuted = early = 0
         for v in seeded_stars(10) + [CONE_7_11_13]:
             model = fold_directions(v)
-            tables = model._tables
+            tables = oracle_module._constraint_tables(model, 0)  # a labeled search starts at sheet 0
             n = len(tables.closing)
             closes_at = {fi: j for j, step in enumerate(tables.closing) for fi, _o, _a in step}
             for mv in all_assignments(len(v)):
                 if not maekawa_check(mv):
                     continue
                 steps, labels = _ReadLog(tables.closing), _ReadLog(mv.labels)
-                logged = oracle_module.LayerModel(model.sheets, model.folds)
-                logged.__dict__["_tables"] = dataclasses.replace(tables, closing=steps)
-                found = oracle_module._search(logged, labels).get(mv.labels)
+                logged = dataclasses.replace(tables, closing=steps)
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle_module, "_constraint_tables", lambda model, first: logged)
+                    found = oracle_module._search(model, labels).get(mv.labels)
                 last = max(steps.read)
                 assert set(steps.read) == set(range(1, last + 1)), (v.as_strings(), str(mv))
                 assert all(closes_at[fi] <= last for fi in labels.read)
