@@ -28,7 +28,6 @@ import json
 import math
 import operator
 import os
-import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -70,62 +69,43 @@ _NECESSARY_ONLY = (
 _MAX_TOKEN_CHARS = 100
 
 
-# An angle list whose every token is plain: ASCII digits, with at most one
-# "/" or "." between two of them. `parse_angles` tests a whole list at C
-# speed and reads a plain one without `Fraction`.
-_PLAIN_ANGLES = re.compile(r"\s*[0-9]+(?:[./][0-9]+)?(?:\s+[0-9]+(?:[./][0-9]+)?)*\s*")
-
-
 def parse_angles(text: str) -> AngleSequence:
     """Comma/space-separated angles: integers, finite decimals, or p/q.
 
-    A list of plain tokens (`_PLAIN_ANGLES`), none longer than
-    `_MAX_TOKEN_CHARS`, is read with `partition` and `int`, and with no gcd
-    per token: `AngleSequence` reduces the star once. Any other list goes token
-    by token through `Fraction`, which also reads ``+90``, ``.5``, ``1_0`` and
-    non-ASCII digits, and is refused at its first bad token.
+    One loop reads the tokens in order and refuses the list at its first bad
+    token. A plain token, a run of decimal digits or two runs joined by one
+    "/" or ".", is read with `partition` and `int`, and with no gcd per token:
+    `AngleSequence` reduces the star once. Any other token goes through
+    `Fraction`, which also reads ``+90``, ``.5`` and ``1_0``.
     """
-    spaced = text.replace(",", " ")
-    tokens = spaced.split()
+    tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParseError("no angles given")
     nums, dens = [], []
-    if max(map(len, tokens)) <= _MAX_TOKEN_CHARS and _PLAIN_ANGLES.fullmatch(spaced):
-        for tok in tokens:
-            a, slash, b = tok.partition("/")
-            if slash:
-                nums.append(int(a))
-                dens.append(int(b))
-            elif "." in a:
-                a, _, b = a.partition(".")
-                nums.append(int(a + b))
-                dens.append(10 ** len(b))
+    for i, tok in enumerate(tokens, 1):
+        if len(tok) > _MAX_TOKEN_CHARS:
+            raise ParseError("angle at position %d is longer than %d characters"
+                             % (i, _MAX_TOKEN_CHARS))
+        a, sep, b = tok.partition("/" if "/" in tok else ".")
+        if tok.isdecimal():
+            num, den = int(tok), 1
+        elif a.isdecimal() and b.isdecimal():
+            if sep == "/":
+                num, den = int(a), int(b)
             else:
-                nums.append(int(a))
-                dens.append(1)
-        if 0 in nums or 0 in dens:  # 0/0 and 5/0 are malformed, 0/5 and 0.0 non-positive
-            i = next(i for i, pair in enumerate(zip(nums, dens)) if 0 in pair)
-            raise ParseError("%s angle %r at position %d"
-                             % ("non-positive" if dens[i] else "malformed", tokens[i], i + 1))
-    else:
-        for i, tok in enumerate(tokens):
-            if len(tok) > _MAX_TOKEN_CHARS:
-                raise ParseError(
-                    "angle at position %d is longer than %d characters"
-                    % (i + 1, _MAX_TOKEN_CHARS)
-                )
-            if "e" in tok.lower():
-                raise ParseError(
-                    "exponent notation is not accepted: %r at position %d" % (tok, i + 1)
-                )
+                num, den = int(a + b), 10 ** len(b)
+        elif "e" in tok.lower():
+            raise ParseError("exponent notation is not accepted: %r at position %d" % (tok, i))
+        else:
             try:
-                value = Fraction(tok)
+                num, den = Fraction(tok).as_integer_ratio()
             except (ValueError, ZeroDivisionError):
-                raise ParseError("malformed angle %r at position %d" % (tok, i + 1)) from None
-            if value <= 0:
-                raise ParseError("non-positive angle %r at position %d" % (tok, i + 1))
-            nums.append(value.numerator)
-            dens.append(value.denominator)
+                num = den = 0  # malformed, as 5/0 and 0/0 are
+        if num <= 0 or not den:
+            raise ParseError("%s angle %r at position %d"
+                             % ("non-positive" if den else "malformed", tok, i))
+        nums.append(num)
+        dens.append(den)
     den = math.lcm(*dens)
     v = AngleSequence(map(operator.mul, nums, map(den.__floordiv__, dens)), den)
     # Refuse a star whose exact results may not print. A count is below

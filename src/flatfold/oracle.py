@@ -33,12 +33,12 @@ finds with `stacking_valid`, for a whole vertex and a restricted run alike.
 
 `enumerate_valid`, the one enumeration routine, folds the vertex once and
 runs the same search once without labels, up to `DEFAULT_LIMIT` sectors;
-only `oracle_is_valid` takes a higher limit. Each slot a sheet takes then
-fixes the labels of the folds it closes, so every labeling is read off the
-stackings found as a word, spelled once, and each one's first stacking is
-re-checked. Layer constraints alone decide: Maekawa's rule only ends
-branches whose labelings have all been found, and the oracle is the ground
-truth that crimping and the recursion are checked by.
+`oracle_is_valid` takes a higher limit and `find_stacking` none. Each slot
+a sheet takes then fixes the labels of the folds it closes, so every
+labeling is read off the stackings found as a word, spelled once, and each
+one's first stacking is re-checked. Layer constraints alone decide:
+Maekawa's rule only ends branches whose labelings have all been found, and
+the oracle is the ground truth that crimping and the recursion are checked by.
 """
 
 from __future__ import annotations

@@ -191,8 +191,7 @@ def bounds(v: AngleSequence) -> tuple[int, int]:
     m = len(v)
     if m % 2 != 0:
         raise ParityError("bounds are defined for even degree, got %d" % m)
-    n = m // 2
-    return (2 ** n, 2 * comb(m, n - 1))
+    return (2 ** (m // 2), _base(m))
 
 
 def _default_pick(seq: tuple[int, ...]) -> RunCondition:

@@ -29,7 +29,8 @@ _ANGLE_TOKENS = st.one_of(
     st.from_regex(r"[0-9]{1,3}\.[0-9]{0,2}0{0,3}", fullmatch=True),  # trailing zeros
     st.sampled_from(["+90", "5.", ".5", "1_0", "\u0663", "\u00b2", "1e5", "2.5E-3", "0",
                      "5/0", "0/5", "1//2", "1/2/3", "1.2.3", "1" * 100, "1" * 101,
-                     "0." + "0" * 97 + "1", "-90"]),
+                     "0." + "0" * 97 + "1", "-90", "\u0661.\u0665", "\u0661/\u0663",
+                     "\uff11\uff12", "1/2.5", "/5", "5/", "1.5.5"]),
 )
 
 
@@ -146,9 +147,15 @@ class TestParseAngles:
     @example("0, 5/0")
     @example("2/4 180/2 0.50 90 179.50 90")
     @example("90,\u3000,90\x1c90\x85,90")
+    @example("\u0661.\u0665 \u0661/\u0663")  # ARABIC-INDIC 1.5 and 1/3
+    @example("\uff11\uff12")  # FULLWIDTH 12
+    @example("1/2.5")
+    @example("/5")
+    @example("5/")
+    @example("1.5.5")
     def test_parses_every_token_as_fraction_does(self, text):
-        # the plain lists skip Fraction: the same (ints, den), or the same
-        # message, as parsing every token with Fraction(tok)
+        # plain tokens skip Fraction, any other token goes through it: the
+        # same (ints, den), or the same message, as Fraction(tok) for every token
         def outcome(parse):
             try:
                 v = parse(text)
